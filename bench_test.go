@@ -7,7 +7,6 @@ package memsched_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -350,60 +349,6 @@ func BenchmarkFig3MemoryBound(b *testing.B) {
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 		perRun := b.Elapsed().Seconds() / float64(b.N)
 		b.ReportMetric(naive.Seconds()/perRun, "skip-speedup")
-	}
-}
-
-// BenchmarkParallelScaling compares the serial run loop against epoch-sharded
-// parallel execution at 4, 8 and 16 simulated cores. The parallel arm uses
-// the auto setting (ParallelCores: 0): on a single-CPU host it falls back to
-// the serial loop and the two arms coincide, so the committed snapshot stays
-// machine-independent; on a multi-core host the win-coverage metric reports
-// the fraction of simulated cycles executed inside parallel windows and the
-// serial/parallel ns/op ratio is the observed speedup. The 16-core machine
-// cycles the 8MEM-4 applications (Table 3 tops out at eight cores).
-func BenchmarkParallelScaling(b *testing.B) {
-	base, err := mustMix(b, "8MEM-4").Apps()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, cores := range []int{4, 8, 16} {
-		apps := make([]workload.App, cores)
-		for i := range apps {
-			apps[i] = base[i%len(base)]
-		}
-		for _, arm := range []struct {
-			name     string
-			parallel int
-		}{{"serial", 1}, {"parallel", 0}} {
-			b.Run(fmt.Sprintf("%s-%dc", arm.name, cores), func(b *testing.B) {
-				cfg := memsched.DefaultConfig(cores)
-				var cycles, winCycles int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys, err := memsched.NewSystem(memsched.Options{
-						Config: &cfg, Policy: "hf-rf", Apps: apps,
-						Seed: memsched.EvalSeed, ParallelCores: arm.parallel,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := sys.Run(benchSlice/4, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles += res.TotalCycles
-					_, wc := sys.ParallelWindows()
-					winCycles += wc
-				}
-				b.StopTimer()
-				if b.Elapsed() > 0 {
-					b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-				}
-				if cycles > 0 {
-					b.ReportMetric(float64(winCycles)/float64(cycles), "win-coverage")
-				}
-			})
-		}
 	}
 }
 

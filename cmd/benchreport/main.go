@@ -7,9 +7,14 @@
 // B/op, allocs/op, and any custom metrics per benchmark. The new numbers are
 // compared against the most recent earlier snapshot (or an explicit
 // -baseline); a benchmark whose ns/op or allocs/op grew by more than
-// -tolerance counts as a regression. Custom metrics (speedups, jobs/sec) are
-// shown as old -> new deltas under each benchmark's row but are never gated —
-// their meaning and direction-of-good vary per benchmark.
+// -tolerance counts as a regression, and so does a baseline benchmark that
+// -bench selects but the run did not produce (reported as MISSING), so a
+// deleted or renamed gated benchmark cannot pass silently. Custom metrics
+// (speedups, jobs/sec) are shown as old -> new deltas under each benchmark's
+// row but are never gated — their meaning and direction-of-good vary per
+// benchmark. When the baseline was taken at a different GOMAXPROCS or CPU
+// count than the current run, the comparison opens with a warning: its
+// wall-clock deltas then compare hosts as well as code.
 //
 // Usage:
 //
@@ -29,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -62,9 +68,11 @@ type Measurement struct {
 }
 
 // Snapshot is the on-disk BENCH_<date>.json document. GOMAXPROCS and NumCPU
-// record the host parallelism the numbers were taken under: benchmarks with an
-// intra-run parallel arm (BenchmarkParallelScaling) are only comparable
-// between snapshots taken at similar widths.
+// record the host parallelism the numbers were taken under; wall-clock
+// figures are only comparable between snapshots taken at the same widths.
+// Pkgs is the -pkgs list the benchmarks came from ("" means "."), so a
+// comparison only reports baseline benchmarks as missing when both runs
+// covered the same packages.
 type Snapshot struct {
 	Date       string                 `json:"date"`
 	GoVersion  string                 `json:"go_version"`
@@ -72,6 +80,7 @@ type Snapshot struct {
 	GOARCH     string                 `json:"goarch"`
 	GOMAXPROCS int                    `json:"gomaxprocs,omitempty"`
 	NumCPU     int                    `json:"num_cpu,omitempty"`
+	Pkgs       string                 `json:"pkgs,omitempty"`
 	Benchtime  string                 `json:"benchtime"`
 	Count      int                    `json:"count"`
 	Benchmarks map[string]Measurement `json:"benchmarks"`
@@ -104,7 +113,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		regressions = compare(base, cur, basePath)
+		selected, err := benchSelector(*benchFlag)
+		if err != nil {
+			return err
+		}
+		regressions = compare(os.Stdout, base, cur, basePath, selected)
 	} else {
 		fmt.Printf("no baseline snapshot in %s; nothing to compare against\n", *dirFlag)
 	}
@@ -117,7 +130,7 @@ func run() error {
 		fmt.Printf("wrote %s (%d benchmarks)\n", out, len(cur.Benchmarks))
 	}
 	if regressions > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond tolerance %.0f%%", regressions, *tolFlag*100)
+		return fmt.Errorf("%d benchmark(s) regressed beyond tolerance %.0f%% or went missing", regressions, *tolFlag*100)
 	}
 	return nil
 }
@@ -143,6 +156,7 @@ func runBenchmarks() (*Snapshot, error) {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
+		Pkgs:       *pkgsFlag,
 		Benchtime:  *benchtimeFlag,
 		Count:      *countFlag,
 		Benchmarks: map[string]Measurement{},
@@ -250,9 +264,108 @@ func writeSnapshot(path string, s *Snapshot) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// compare prints a per-benchmark delta table and returns how many benchmarks
-// regressed beyond the tolerance.
-func compare(base, cur *Snapshot, basePath string) int {
+// benchSelector returns a predicate reporting whether go test -bench pattern
+// selects a benchmark, by its reported name, for a result line. It follows
+// the testing package: the pattern splits into alternatives on top-level '|'
+// and each alternative into per-level elements on '/' (outside brackets and
+// parentheses); a name is selected when some alternative's every element
+// matches the name's element at the same depth. A name with fewer levels
+// than the alternative only partially matches — go test then runs it as a
+// parent and prints no result line for it — so it is not selected.
+func benchSelector(pattern string) (func(name string) bool, error) {
+	var alts [][]*regexp.Regexp
+	for _, alt := range splitBenchPattern(pattern) {
+		var elems []*regexp.Regexp
+		for _, e := range alt {
+			re, err := regexp.Compile(e)
+			if err != nil {
+				return nil, fmt.Errorf("-bench %q: %w", pattern, err)
+			}
+			elems = append(elems, re)
+		}
+		alts = append(alts, elems)
+	}
+	return func(name string) bool {
+		levels := strings.Split(name, "/")
+		for _, elems := range alts {
+			if len(levels) < len(elems) {
+				continue
+			}
+			ok := true
+			for i, re := range elems {
+				if !re.MatchString(levels[i]) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				return true
+			}
+		}
+		return false
+	}, nil
+}
+
+// splitBenchPattern splits a -bench pattern into alternatives of per-level
+// elements, with the testing package's bracket, parenthesis and escape rules.
+func splitBenchPattern(s string) [][]string {
+	var alts [][]string
+	var elems []string
+	brackets, parens := 0, 0
+	for i := 0; i < len(s); {
+		switch s[i] {
+		case '[':
+			brackets++
+		case ']':
+			if brackets--; brackets < 0 {
+				brackets = 0
+			}
+		case '(':
+			if brackets == 0 {
+				parens++
+			}
+		case ')':
+			if brackets == 0 {
+				parens--
+			}
+		case '\\':
+			i++
+		case '/', '|':
+			if brackets == 0 && parens == 0 {
+				elems = append(elems, s[:i])
+				if s[i] == '|' {
+					alts = append(alts, elems)
+					elems = nil
+				}
+				s, i = s[i+1:], 0
+				continue
+			}
+		}
+		i++
+	}
+	return append(alts, append(elems, s))
+}
+
+// hostString describes the host parallelism a snapshot was taken under.
+func hostString(s *Snapshot) string {
+	if s.GOMAXPROCS == 0 && s.NumCPU == 0 {
+		return "gomaxprocs/num_cpu unrecorded"
+	}
+	return fmt.Sprintf("gomaxprocs=%d num_cpu=%d", s.GOMAXPROCS, s.NumCPU)
+}
+
+// pkgsOf returns the package list a snapshot's benchmarks came from.
+func pkgsOf(s *Snapshot) string {
+	if s.Pkgs == "" {
+		return "."
+	}
+	return s.Pkgs
+}
+
+// compare writes a per-benchmark delta table to w and returns how many
+// benchmarks regressed beyond the tolerance or went missing. selected reports
+// whether the -bench pattern of the current run selects a benchmark name.
+func compare(w io.Writer, base, cur *Snapshot, basePath string, selected func(string) bool) int {
 	names := make([]string, 0, len(cur.Benchmarks))
 	for name := range cur.Benchmarks {
 		if _, ok := base.Benchmarks[name]; ok {
@@ -260,7 +373,11 @@ func compare(base, cur *Snapshot, basePath string) int {
 		}
 	}
 	sort.Strings(names)
-	fmt.Printf("comparing against %s (tolerance %.0f%%)\n", basePath, *tolFlag*100)
+	fmt.Fprintf(w, "comparing against %s (tolerance %.0f%%)\n", basePath, *tolFlag*100)
+	if base.GOMAXPROCS != cur.GOMAXPROCS || base.NumCPU != cur.NumCPU {
+		fmt.Fprintf(w, "WARNING: host mismatch: baseline %s, this run %s; wall-clock deltas compare hosts as well as code\n",
+			hostString(base), hostString(cur))
+	}
 	regressions := 0
 	for _, name := range names {
 		b, c := base.Benchmarks[name], cur.Benchmarks[name]
@@ -287,7 +404,7 @@ func compare(base, cur *Snapshot, basePath string) int {
 			}
 			status = "REGRESSION(allocs)"
 		}
-		fmt.Printf("  %-36s %12.0f -> %12.0f ns/op (%+.1f%%)  %8.0f -> %8.0f allocs/op  %s\n",
+		fmt.Fprintf(w, "  %-36s %12.0f -> %12.0f ns/op (%+.1f%%)  %8.0f -> %8.0f allocs/op  %s\n",
 			name, b.NsPerOp, c.NsPerOp, (timeRatio-1)*100, b.AllocsPerOp, c.AllocsPerOp, status)
 		// Custom metrics travel informationally: they are the scientific
 		// payload (speedups, jobs/sec), not regression-gated axes — their
@@ -305,13 +422,33 @@ func compare(base, cur *Snapshot, basePath string) int {
 			if ov != 0 {
 				line += fmt.Sprintf(" (%+.1f%%)", (nv/ov-1)*100)
 			}
-			fmt.Println(line)
+			fmt.Fprintln(w, line)
 		}
 	}
+	// A baseline benchmark this run should have produced but did not — it was
+	// deleted, renamed or failed to report — must not pass by omission.
+	var missing []string
+	if pkgsOf(base) == pkgsOf(cur) {
+		for name := range base.Benchmarks {
+			if _, ok := cur.Benchmarks[name]; !ok && selected(name) {
+				missing = append(missing, name)
+			}
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		fmt.Fprintf(w, "  %-36s MISSING (in the baseline and selected by -bench, but not produced)\n", name)
+	}
+	regressions += len(missing)
+	var added []string
 	for name := range cur.Benchmarks {
 		if _, ok := base.Benchmarks[name]; !ok {
-			fmt.Printf("  %-36s new benchmark (no baseline)\n", name)
+			added = append(added, name)
 		}
+	}
+	sort.Strings(added)
+	for _, name := range added {
+		fmt.Fprintf(w, "  %-36s new benchmark (no baseline)\n", name)
 	}
 	return regressions
 }

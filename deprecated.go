@@ -10,6 +10,11 @@ import (
 // entry points (Run, ProfileAppContext, ProfileAllContext, ClassifyContext).
 // Each wrapper stays a thin, behavior-identical shim until then —
 // deprecated_test.go pins that equivalence.
+//
+// Two members of the aliased types are deprecated the same way:
+// Options.ParallelCores is ignored and System.ParallelWindows always returns
+// (0, 0), because the parallel-window run mode they configured and reported
+// was removed. Every run uses the serial cycle-skipping loop.
 
 // RunMix runs a Table 3 workload under the named policy. mes supplies the
 // per-core memory-efficiency values (nil uses the paper's Table 2 numbers).

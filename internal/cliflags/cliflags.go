@@ -1,7 +1,7 @@
 // Package cliflags registers the operational flags shared by every sweep
 // surface — cmd/sweep, cmd/experiments, and cmd/sweepd — with one canonical
-// name, default, and help string each, so "-parallel", "-simparallel",
-// "-progress" and "-resume" mean exactly the same thing everywhere.
+// name, default, and help string each, so "-parallel", "-progress" and
+// "-resume" mean exactly the same thing everywhere.
 package cliflags
 
 import (
@@ -21,14 +21,6 @@ const (
 func Parallel(fs *flag.FlagSet) *int {
 	return fs.Int("parallel", 1,
 		"worker pool width for independent jobs (0 = GOMAXPROCS); results are identical for every width")
-}
-
-// SimParallel registers -simparallel: intra-run parallelism over simulated
-// cores (DESIGN.md §11). Orthogonal to -parallel, which parallelizes across
-// runs; results are identical either way.
-func SimParallel(fs *flag.FlagSet) *int {
-	return fs.Int("simparallel", 0,
-		"intra-run parallelism over simulated cores (0 = auto, 1 = serial, >1 = worker count); results are identical either way")
 }
 
 // Progress registers -progress: the interval between progress lines on

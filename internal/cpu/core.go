@@ -278,21 +278,6 @@ func (c *Core) Stats() *Stats { return &c.stats }
 // Retired returns the number of retired instructions.
 func (c *Core) Retired() uint64 { return c.stats.Retired }
 
-// MinCyclesToRetire returns a lower bound on the cycles this core needs to
-// reach `target` retired instructions: retirement is capped at the issue
-// width per cycle, so the bound is exact when the pipeline never stalls. The
-// parallel window planner uses it to guarantee commit-target crossings can
-// only land on a window's final cycle, keeping freeze points cycle-exact.
-// Returns 0 when the target is already reached.
-func (c *Core) MinCyclesToRetire(target uint64) int64 {
-	if c.stats.Retired >= target {
-		return 0
-	}
-	rem := int64(target - c.stats.Retired)
-	width := int64(c.cfg.Core.IssueWidth)
-	return (rem + width - 1) / width
-}
-
 // ROBOccupancy returns the instantaneous number of in-flight instructions in
 // the reorder buffer (telemetry sampling; the run-average lives in Stats).
 func (c *Core) ROBOccupancy() int { return int(c.tail - c.head) }

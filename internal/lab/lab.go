@@ -33,10 +33,6 @@ type Options struct {
 	Seed uint64
 	// Workers bounds the parallel runner (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// ParallelCores is passed through to every evaluation RunSpec: intra-run
-	// parallelism over simulated cores (0 = auto, 1 = serial loop, >1 = forced
-	// worker count). Orthogonal to Workers, which parallelizes across runs.
-	ParallelCores int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 	// Checkpoint, when non-empty, is the JSON file Prime persists completed
@@ -221,7 +217,7 @@ func (l *Lab) RunClassedContext(ctx context.Context, mix workload.Mix, policy st
 		return RunOut{}, err
 	}
 	spec := sim.RunSpec{Mix: mix, Policy: policy, Instr: l.opts.Instr, ME: mes,
-		Seed: l.opts.Seed, ParallelCores: l.opts.ParallelCores, Classes: classes}
+		Seed: l.opts.Seed, Classes: classes}
 	if policy == OnlinePolicy {
 		// The runtime ME estimator starts from neutral (equal) priorities so
 		// it has to earn its keep.

@@ -460,23 +460,6 @@ func (mc *Controller) NextEventAt(now int64) int64 {
 // discard cached values that are not strictly in their future.
 func (mc *Controller) Version() uint64 { return mc.version }
 
-// NextCompletionAt returns the cycle the earliest in-flight read's data
-// reaches the core side (the completion-heap head), or farFuture when none is
-// in flight. Unlike NextEventAt it ignores issue opportunities: the parallel
-// window planner uses it to bound when the controller can next call back into
-// the cache hierarchy, and issues never call back directly.
-func (mc *Controller) NextCompletionAt() int64 {
-	if len(mc.comp) > 0 {
-		return mc.comp[0].at
-	}
-	return farFuture
-}
-
-// CtrlOverhead returns the controller's fixed cycles between DRAM data-done
-// and core-side delivery; every completion scheduled at cycle t returns no
-// earlier than t + CtrlOverhead, which caps how far cores may run ahead.
-func (mc *Controller) CtrlOverhead() int64 { return mc.ctrlOverhead }
-
 // AbsorbStall accounts k skipped Ticks' per-cycle queue-occupancy samples at
 // the occupancies frozen over the skipped stretch (no admission, issue or
 // completion happens while every component is quiescent, so the sampled

@@ -38,9 +38,9 @@ const (
 
 // cads implements the cads policy. Like bliss, every state transition happens
 // inside PickIndexed and the epoch grid is a pure function of ctx.Now, so the
-// policy is exact under cycle skipping and parallel execution without any
-// run-loop plumbing: epochs in which no contested pick happens simply merge
-// into the next rollover, deterministically in every run mode.
+// policy is exact under cycle skipping without any run-loop plumbing: epochs
+// in which no contested pick happens simply merge into the next rollover,
+// deterministically in every run mode.
 type cads struct {
 	next   int64
 	served []uint64 // contested services per core, current epoch

@@ -41,10 +41,9 @@ const (
 
 // dash implements the dash policy. It is stateless — urgency is a pure
 // function of ctx.Now, ctx.LC and each candidate's Arrive — so it is
-// deterministic-by-construction under cycle skipping and parallel execution
-// for the same reason bliss and cads are: everything happens inside
-// PickIndexed, and picks occur at identical cycles with identical candidate
-// sets in every run mode. With no LC cores assigned (ctx.LC all false, the
+// deterministic-by-construction under cycle skipping for the same reason
+// bliss and cads are: everything happens inside PickIndexed, and picks occur
+// at identical cycles with identical candidate sets in every run mode. With no LC cores assigned (ctx.LC all false, the
 // default) dash degenerates to hf-rf exactly.
 type dash struct{}
 

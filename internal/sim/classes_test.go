@@ -99,16 +99,16 @@ func TestClassTaggingIsLabelOnly(t *testing.T) {
 	}
 }
 
-// TestClassHistogramDifferential is the System-level three-way differential
-// for per-class latency histograms: for a policy subset spanning stateless,
+// TestClassHistogramDifferential is the System-level differential for
+// per-class latency histograms: for a policy subset spanning stateless,
 // stateful and deadline-aware schedulers at 2, 4 and 8 cores with mixed
 // classes, the full LC and BE histograms (struct equality — every bucket
-// count, sum and max) must be identical across the naive, cycle-skipping and
-// parallel-window run modes. The Result-level matrix covers all policies;
+// count, sum and max) must be identical across the naive and cycle-skipping
+// run modes. The Result-level matrix covers all policies;
 // this pins the ClassLatencyHist accessor itself.
 func TestClassHistogramDifferential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs full simulation triples")
+		t.Skip("runs full simulation pairs")
 	}
 	mixFor := map[int]string{2: "2MEM-1", 4: "4MEM-1", 8: "8MEM-4"}
 	rng := rand.New(rand.NewSource(0xC1A55))
@@ -134,10 +134,10 @@ func TestClassHistogramDifferential(t *testing.T) {
 					for i := 0; i < cores; i += 2 {
 						classes[i] = workload.LC
 					}
-					run := func(parallel int, noSkip bool) [2]stats.LatencyHist {
+					run := func(noSkip bool) [2]stats.LatencyHist {
 						sys, err := sim.New(sim.Options{
 							Policy: policy, Apps: apps, Seed: seed, Classes: classes,
-							NoCycleSkip: noSkip, ParallelCores: parallel,
+							NoCycleSkip: noSkip,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -150,15 +150,10 @@ func TestClassHistogramDifferential(t *testing.T) {
 							sys.ClassLatencyHist(workload.LC),
 						}
 					}
-					par := run(parallelTestWorkers, false)
-					skip := run(1, false)
-					naive := run(1, true)
+					skip, naive := run(false), run(true)
 					for cls, label := range []string{"BE", "LC"} {
-						if par[cls] != skip[cls] {
-							t.Errorf("%s histogram: parallel != skip", label)
-						}
-						if par[cls] != naive[cls] {
-							t.Errorf("%s histogram: parallel != naive", label)
+						if skip[cls] != naive[cls] {
+							t.Errorf("%s histogram: skip != naive", label)
 						}
 						if naive[cls].N() == 0 {
 							t.Errorf("%s histogram empty; differential is vacuous", label)

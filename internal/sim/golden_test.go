@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -92,14 +91,22 @@ func runGolden(t *testing.T, c goldenCase, parallel int) sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	apps, err := mix.Apps()
+	if err != nil {
+		t.Fatal(err)
+	}
 	classes, err := workload.ParseServiceClasses(c.Classes, len(mix.Codes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(context.Background(), sim.RunSpec{
-		Mix: mix, Policy: c.Policy, Instr: goldenInstr, Seed: sim.EvalSeed,
-		ParallelCores: parallel, Classes: classes,
+	sys, err := sim.New(sim.Options{
+		Policy: c.Policy, Apps: apps, Seed: sim.EvalSeed, Classes: classes,
+		ParallelCores: parallel,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(goldenInstr, 0)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", c.Mix, c.Policy, err)
 	}
@@ -109,17 +116,15 @@ func runGolden(t *testing.T, c goldenCase, parallel int) sim.Result {
 // TestGoldenEquivalence pins fixed-seed Results against fixtures generated
 // by the seed (pre-indexing) implementation.
 func TestGoldenEquivalence(t *testing.T) {
-	goldenEquivalence(t, 1)
+	goldenEquivalence(t, 0)
 }
 
-// TestGoldenEquivalenceParallel re-pins every fixture with the parallel
-// window path forced on (3 workers, so shards are uneven at every fixture
-// core count): epoch-sharded execution must reproduce the seed
-// implementation's Results just like the serial loop does — integers
-// byte-identical, floats within the regrouping tolerance.
+// TestGoldenEquivalenceParallel re-pins every fixture with the deprecated
+// Options.ParallelCores knob set: it once forced the removed parallel-window
+// mode on and is now ignored, so the fixtures must still match.
 func TestGoldenEquivalenceParallel(t *testing.T) {
 	if *updateGolden {
-		t.Skip("fixtures are regenerated by the serial reference loop")
+		t.Skip("fixtures are regenerated by TestGoldenEquivalence")
 	}
 	goldenEquivalence(t, 3)
 }

@@ -80,19 +80,13 @@ type Options struct {
 	// respect to the simulated machine: enabling it never changes a Result
 	// beyond the exempt SkippedCycles field (epoch boundaries clamp skips).
 	Telemetry *telemetry.Options
-	// ParallelCores controls intra-run parallelism: between provably
-	// interaction-free synchronization points, simulated cores tick
-	// concurrently on a worker pool, and the shared hierarchy/controller
-	// cycles are replayed serially with a deterministic barrier merge (see
-	// parallel.go). Results are policy- and core-count-independent of this
-	// knob: integer statistics are byte-identical to the serial loop, floats
-	// within the same ~1e-9 regrouping bound cycle skipping carries.
-	//   0  auto: parallel when the run simulates >= 3 cores and the host has
-	//      >= 2 schedulable CPUs; serial otherwise.
-	//   1  serial (the reference loop).
-	//   >1 that many workers, capped at the simulated core count; forces the
-	//      parallel path even on a single-CPU host (differential tests rely
-	//      on this).
+	// ParallelCores once selected intra-run parallel windows over simulated
+	// cores. That mode was removed: it never beat the cycle-skipping loop on
+	// the hosts it was measured on.
+	//
+	// Deprecated: ignored. Every run uses the serial cycle-skipping loop, so
+	// Results do not depend on this field. It remains so existing callers
+	// still compile.
 	ParallelCores int
 }
 
@@ -125,8 +119,8 @@ type CoreResult struct {
 	ReadLatencyP95  int64
 	ReadLatencyP99  int64
 	ReadLatencyP999 int64
-	BandwidthGBs   float64 // read+write DRAM traffic over the core's runtime
-	L2MissesPerKI  float64 // L2 misses per thousand retired instructions
+	BandwidthGBs    float64 // read+write DRAM traffic over the core's runtime
+	L2MissesPerKI   float64 // L2 misses per thousand retired instructions
 	// Pipeline-side statistics over the measurement window.
 	RetireStallPct float64 // fraction of cycles with a non-empty ROB retiring nothing
 	IFetchStalls   uint64  // front-end stalls on instruction supply
@@ -169,8 +163,7 @@ type Result struct {
 
 // ClassLatency is one serving class's aggregated read-latency distribution:
 // the merge of the member cores' deterministic histograms, so the integer
-// fields are byte-identical across naive, cycle-skipping and parallel run
-// modes.
+// fields are byte-identical across the naive and cycle-skipping run modes.
 type ClassLatency struct {
 	Class workload.ServiceClass
 	// Cores is the number of cores in the class; Reads the merged sample
@@ -215,15 +208,6 @@ type System struct {
 	// freeze point (cores keep running past their commit target, so the live
 	// controller histogram drifts on). Preallocated at New; reset per run.
 	frozenLat []stats.LatencyHist
-
-	// Parallel-window state (see parallel.go); pool is non-nil only while a
-	// RunContext with an active worker pool is executing.
-	pool        *corePool
-	winCap      int64
-	winTargets  []uint64
-	noWinBefore int64
-	winRuns     int64
-	winCycles   int64
 
 	// Cached non-core horizon for nextEventAt: hier and mc expose change
 	// counters, so stalled stretches where neither moved revalidate the last
@@ -347,6 +331,13 @@ func (s *System) Online() *OnlineEstimator { return s.online }
 // Telemetry returns the attached telemetry collector, or nil when disabled.
 func (s *System) Telemetry() *telemetry.Collector { return s.telem }
 
+// ParallelWindows always returns (0, 0): no run executes parallel windows.
+//
+// Deprecated: the parallel-window mode was removed (see
+// Options.ParallelCores). The method remains so existing callers still
+// compile.
+func (s *System) ParallelWindows() (windows, cycles int64) { return 0, 0 }
+
 // CancelCheckCycles is the cancellation-check granularity of RunContext: a
 // cancelled context is observed within at most this many simulated cycles
 // (plus the cost of the in-flight cycle). The check is a single atomic load
@@ -400,21 +391,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 		s.frozenLat[i].Reset()
 	}
 
-	// Spin up the parallel worker pool when configured and worthwhile; the
-	// deferred close guarantees no goroutine outlives the run, on every exit
-	// path including cancellation and cycle-bound errors.
-	s.winRuns, s.winCycles = 0, 0
-	if w := s.parallelWorkers(); w > 0 {
-		if s.winCap = s.windowCap(); s.winCap >= minParallelWindow {
-			s.pool = newCorePool(s.cores, w)
-			s.winTargets = make([]uint64, n)
-			s.noWinBefore = 0
-			defer func() {
-				s.pool.close()
-				s.pool = nil
-			}()
-		}
-	}
 	s.nonCoreValid = false
 
 	now := int64(0)
@@ -426,11 +402,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 	if warm > 0 {
 		warmDone := 0
 		warmed := make([]bool, n)
-		if s.pool != nil {
-			for i := range s.winTargets {
-				s.winTargets[i] = warm
-			}
-		}
 		nextCancel := nextCancelCheck(now)
 		for warmDone < n {
 			if now >= maxCycles {
@@ -442,14 +413,12 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 					return Result{}, fmt.Errorf("sim: run cancelled at warmup cycle %d: %w", now, err)
 				}
 			}
-			now, _ = s.advance(now, maxCycles)
+			s.tick(now)
+			now += 1 + s.skipQuiescent(now, maxCycles)
 			for i, c := range s.cores {
 				if !warmed[i] && c.Retired() >= warm {
 					warmed[i] = true
 					warmDone++
-					if s.pool != nil {
-						s.winTargets[i] = 0
-					}
 				}
 			}
 		}
@@ -461,9 +430,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 	// Phase 2: measurement. Each core's target is its own retired count at
 	// the window start plus the slice length; its IPC uses cycles from the
 	// window start (paper: statistics only over the simpoint's instructions).
-	// The window counters restart with the other statistics, so
-	// ParallelWindows describes the measurement window (coverage <= 100%).
-	s.winRuns, s.winCycles = 0, 0
 	t0 := now
 	if s.telem != nil {
 		// Armed only now: warmup resets have run, so the collector's counter
@@ -475,11 +441,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 	for i, c := range s.cores {
 		base[i] = c.Retired()
 		cpuBase[i] = *c.Stats() // measurement-window baseline
-	}
-	if s.pool != nil {
-		for i := range s.winTargets {
-			s.winTargets[i] = base[i] + instrPerCore
-		}
 	}
 	finished := 0
 	done := make([]bool, n)
@@ -495,16 +456,14 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 				return Result{}, fmt.Errorf("sim: run cancelled at cycle %d: %w", now, err)
 			}
 		}
-		var skipped int64
-		now, skipped = s.advance(now, maxCycles)
+		s.tick(now)
+		skipped := s.skipQuiescent(now, maxCycles)
+		now += 1 + skipped
 		res.SkippedCycles += skipped
 		for i, c := range s.cores {
 			if !done[i] && c.Retired() >= base[i]+instrPerCore {
 				done[i] = true
 				finished++
-				if s.pool != nil {
-					s.winTargets[i] = 0
-				}
 				s.freeze(i, now-t0, instrPerCore, &cpuBase[i], &res.Cores[i])
 				if finished == n {
 					res.TotalCycles = now - t0
@@ -579,7 +538,7 @@ func (s *System) serviceClass(i int) workload.ServiceClass {
 // the given serving class, each captured at its own freeze point. Valid after
 // a completed run; the merge of shard histograms is bitwise equal to the
 // histogram of the concatenated stream, so the result is byte-identical
-// across naive, cycle-skipping and parallel run modes.
+// across the naive and cycle-skipping run modes.
 func (s *System) ClassLatencyHist(class workload.ServiceClass) stats.LatencyHist {
 	var h stats.LatencyHist
 	for i := range s.frozenLat {
@@ -797,9 +756,6 @@ type RunSpec struct {
 	NoWarmup    bool
 	// NoCycleSkip disables next-event time advance (see Options).
 	NoCycleSkip bool
-	// ParallelCores controls intra-run parallelism over simulated cores
-	// (see Options.ParallelCores): 0 = auto, 1 = serial, >1 = worker count.
-	ParallelCores int
 	// MaxCycles bounds the run (0 selects a generous default).
 	MaxCycles int64
 	// Telemetry, when non-nil, attaches the epoch-sampled observer layer
@@ -821,20 +777,19 @@ func Run(ctx context.Context, spec RunSpec) (Result, error) {
 		}
 	}
 	sys, err := New(Options{
-		Config:        spec.Config,
-		Policy:        spec.Policy,
-		CustomPolicy:  spec.CustomPolicy,
-		Apps:          apps,
-		Classes:       spec.Classes,
-		ME:            spec.ME,
-		Seed:          spec.Seed,
-		WarmupInstr:   spec.WarmupInstr,
-		NoWarmup:      spec.NoWarmup,
-		OnlineME:      spec.OnlineME,
-		OnlineEpoch:   spec.OnlineEpoch,
-		NoCycleSkip:   spec.NoCycleSkip,
-		ParallelCores: spec.ParallelCores,
-		Telemetry:     spec.Telemetry,
+		Config:       spec.Config,
+		Policy:       spec.Policy,
+		CustomPolicy: spec.CustomPolicy,
+		Apps:         apps,
+		Classes:      spec.Classes,
+		ME:           spec.ME,
+		Seed:         spec.Seed,
+		WarmupInstr:  spec.WarmupInstr,
+		NoWarmup:     spec.NoWarmup,
+		OnlineME:     spec.OnlineME,
+		OnlineEpoch:  spec.OnlineEpoch,
+		NoCycleSkip:  spec.NoCycleSkip,
+		Telemetry:    spec.Telemetry,
 	})
 	if err != nil {
 		return Result{}, err

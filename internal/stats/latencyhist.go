@@ -12,8 +12,8 @@ import (
 // 1/latSubBuckets of the value (12.5% relative). All state is integer —
 // counts, a sum for the mean, and a max — which makes two histograms of the
 // same sample multiset bitwise equal regardless of observation order: the
-// property the run-mode differential tests (naive vs cycle-skip vs parallel
-// windows) and the parallel replay merge rely on. There is no streaming
+// property the run-mode differential tests (naive vs cycle-skip) and the
+// per-class merge rely on. There is no streaming
 // sketch and no floating-point accumulation anywhere on the observe path.
 //
 // The bucket array is part of the struct (no pointer, no allocation), so
@@ -141,8 +141,8 @@ func (h *LatencyHist) CountAtOrBelow(v int64) uint64 {
 
 // Merge folds other into h as if h had observed all of other's samples. A
 // merge of shard histograms is bitwise equal to the histogram of the
-// concatenated stream, which is what lets epoch-sharded parallel runs
-// aggregate per-shard distributions exactly.
+// concatenated stream, which is what lets per-core histograms merge into
+// per-class distributions exactly.
 func (h *LatencyHist) Merge(other *LatencyHist) {
 	h.n += other.n
 	h.sum += other.sum

@@ -444,3 +444,40 @@ func TestLoadTestSmoke(t *testing.T) {
 		t.Fatalf("batched harness used %d complete round trips for 120 jobs", rep.CompleteCalls)
 	}
 }
+
+// TestOversizedBodyRejected sends a body one byte over maxRequestBody to
+// every POST endpoint: each must answer 413 without admitting, leasing or
+// completing anything, and the coordinator must keep serving afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	coord, client := newTestService(t, CoordinatorConfig{})
+	before := coord.Stats()
+
+	body := make([]byte, maxRequestBody+1)
+	copy(body, `{"meta":"`)
+	for i := len(`{"meta":"`); i < len(body); i++ {
+		body[i] = 'a'
+	}
+	for _, path := range []string{"sweeps", "claim", "heartbeat", "heartbeats", "complete", "completes"} {
+		resp, err := http.Post(client.base+"/"+APIVersion+"/"+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, http.StatusRequestEntityTooLarge)
+		}
+	}
+	if after := coord.Stats(); after != before {
+		t.Errorf("oversized bodies changed coordinator state: %+v -> %+v", before, after)
+	}
+
+	sub, err := client.Submit(context.Background(), SweepRequestV1{
+		Jobs: []JobV1{{Key: "ok", Spec: testSpec("hf-rf")}},
+	})
+	if err != nil {
+		t.Fatalf("submit after rejections: %v", err)
+	}
+	if sub.Jobs != 1 || coord.Stats().Sweeps != before.Sweeps+1 {
+		t.Errorf("submit after rejections admitted %d jobs, sweeps %d", sub.Jobs, coord.Stats().Sweeps)
+	}
+}

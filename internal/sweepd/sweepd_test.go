@@ -77,12 +77,15 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("fingerprint not deterministic")
 	}
 
-	// Execution hints must not fragment the cache: parallel execution is
-	// result-preserving (DESIGN.md §11), so width is excluded.
-	par := base
-	par.ParallelCores = 8
-	if par.Fingerprint() != base.Fingerprint() {
-		t.Error("ParallelCores changed the fingerprint")
+	// Cached results are addressed by these bytes, so the encoding must not
+	// drift: a classless spec and a classed one, pinned as hex.
+	if got, want := base.Fingerprint(), "3d79e165da7ea05910b85d9ff21e3d67b145614bed950a56d5abdf2a6645f143"; got != want {
+		t.Errorf("fingerprint = %s, want %s", got, want)
+	}
+	classed := base
+	classed.Classes = "LB"
+	if got, want := classed.Fingerprint(), "74b0f887e17eb6054b94c7a7e561a6b1fd7c295c970d7742a6be97f8f7348e99"; got != want {
+		t.Errorf("classed fingerprint = %s, want %s", got, want)
 	}
 
 	// Everything that changes the Result must change the address.

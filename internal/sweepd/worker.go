@@ -34,10 +34,6 @@ type WorkerOptions struct {
 	// Slots is the legacy fixed pool size: when MinProcs and MaxProcs are
 	// both 0 it pins the pool to exactly Slots executors. 0 selects 1.
 	Slots int
-	// ParallelCores fills a claimed spec's ParallelCores when the spec
-	// leaves it 0 (auto): intra-run parallelism over simulated cores,
-	// resolved against this host.
-	ParallelCores int
 	// JobTimeout bounds each job's wall clock (0 = unbounded). A timed-out
 	// job is reported as failed, exactly like the in-process pool.
 	JobTimeout time.Duration
@@ -417,9 +413,6 @@ func (w *worker) runJob(lv LeaseV1) {
 			spec, err := job.Spec.RunSpec()
 			if err != nil {
 				return nil, err
-			}
-			if spec.ParallelCores == 0 {
-				spec.ParallelCores = w.opts.ParallelCores
 			}
 			res, err := sim.Run(ctx, spec)
 			if err != nil {

@@ -26,12 +26,6 @@
 // CancelCheckCycles simulated cycles), so a Ctrl-C or timeout lands within
 // microseconds of simulated work rather than after the full run.
 //
-// On multi-core hosts a run can additionally shard its simulated cores
-// across goroutines inside conservatively derived windows
-// (RunSpec.ParallelCores / Options.ParallelCores; 0 auto-enables it when
-// both the machine and the host have headroom) — Results are identical to
-// the serial loop, parallelism is purely a wall-clock knob.
-//
 // See the examples/ directory for end-to-end programs, including one that
 // implements a custom scheduling policy against this package's Policy
 // interface.
