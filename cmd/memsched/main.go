@@ -169,7 +169,7 @@ func printResult(label string, apps []workload.App, res sim.Result, mes []float6
 		t.AddRow(fmt.Sprint(i), c.App, c.Class.String(), c.Service.String(),
 			fmt.Sprintf("%.3f", c.IPC),
 			fmt.Sprintf("%.0f", c.AvgReadLatency),
-			fmt.Sprintf("<%d", c.P95ReadLatency),
+			fmt.Sprintf("<%d", c.ReadLatencyP95),
 			fmt.Sprintf("<%d", c.ReadLatencyP99),
 			fmt.Sprintf("%.2f", c.BandwidthGBs),
 			fmt.Sprintf("%.1f", c.L2MissesPerKI),

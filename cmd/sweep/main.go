@@ -209,8 +209,8 @@ func point(res sim.Result, singles []float64) (sweepPoint, error) {
 	}
 	var p95 int64
 	for _, c := range res.Cores {
-		if c.P95ReadLatency > p95 {
-			p95 = c.P95ReadLatency
+		if c.ReadLatencyP95 > p95 {
+			p95 = c.ReadLatencyP95
 		}
 	}
 	return sweepPoint{Speedup: sp, Unfairness: u, ReadLat: res.AvgReadLatency,

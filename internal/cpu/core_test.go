@@ -228,14 +228,33 @@ func TestStoresRetireAndDrain(t *testing.T) {
 	}
 }
 
+// TestROBOccupancyBounded drives cold load misses, each followed by more
+// compute than the ROB holds, so the stalled head load lets the ROB fill: the
+// occupancy must reach ROBSize (else the bound below is vacuous) and never
+// exceed it.
 func TestROBOccupancyBounded(t *testing.T) {
-	script := []trace.Instr{{Kind: trace.KindLoad, Line: 1 << 25}}
-	r := newRig(t, &scriptGen{script: computeOnly(1)}, nil)
-	_ = script
-	r.run(500)
-	occ := r.core.Stats().ROBOccupancy
-	if occ.Max() > float64(r.cfg.Core.ROBSize) {
-		t.Fatalf("ROB occupancy %v exceeded capacity %d", occ.Max(), r.cfg.Core.ROBSize)
+	var script []trace.Instr
+	for i := 0; i < 8; i++ {
+		script = append(script, trace.Instr{Kind: trace.KindLoad, Line: uint64(i+1) << 25})
+		script = append(script, computeOnly(400)...)
+	}
+	r := newRig(t, &scriptGen{script: script}, func(c *config.Config) {
+		c.Core.BranchMissPct = 0
+	})
+	size := r.cfg.Core.ROBSize
+	full := 0
+	for i := 0; i < 3000; i++ {
+		r.run(1)
+		occ := r.core.ROBOccupancy()
+		if occ > size {
+			t.Fatalf("cycle %d: ROB occupancy %d exceeded capacity %d", r.now, occ, size)
+		}
+		if occ == size {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatalf("ROB never filled to %d entries behind a missing load", size)
 	}
 }
 

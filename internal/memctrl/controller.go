@@ -11,22 +11,20 @@ import (
 
 // CoreStats aggregates per-core controller-side statistics.
 type CoreStats struct {
-	ReadsCompleted  uint64
-	WritesRetired   uint64
-	ReadLatency     stats.Running // controller admission -> data returned, cycles
-	ReadLatencyHist stats.Histogram
-	// LatHist is the deterministic log-spaced read-latency histogram: exact
-	// integer counts, fixed preallocated buckets (the array is part of the
-	// struct), observed once per read completion. Unlike ReadLatencyHist's
-	// power-of-two buckets it reconstructs p50/p95/p99/p99.9 to within one
-	// bucket width (<= 12.5% relative), and being all-integer it is bitwise
-	// identical across naive, cycle-skipping and parallel run modes.
+	ReadsCompleted uint64
+	WritesRetired  uint64
+	// LatHist is the one read-latency record (controller admission -> data
+	// returned, cycles), observed once per read completion: a deterministic
+	// log-spaced histogram with exact integer counts and sum, so it yields
+	// the exact mean and p50/p95/p99/p99.9 to within one bucket width
+	// (<= 12.5% relative), bitwise identical across the naive and
+	// cycle-skipping run loops. The bucket array is part of the struct.
 	LatHist stats.LatencyHist
 	// QueueDelay is admission -> issue: the component scheduling policies
 	// actually change. ServiceTime is issue -> data returned (DRAM timing
 	// plus controller overhead).
-	QueueDelay  stats.Running
-	ServiceTime stats.Running
+	QueueDelay  stats.Mean
+	ServiceTime stats.Mean
 }
 
 // bankQueues holds one (channel, bank)'s read and write FIFOs.
@@ -101,8 +99,8 @@ type Controller struct {
 	enqueueFailWr stats.Counter
 	bytesRead     uint64
 	bytesWritten  uint64
-	readQOcc      stats.Running // read-queue occupancy sampled per Tick
-	writeQOcc     stats.Running
+	readQOcc      stats.Mean // read-queue occupancy sampled per Tick
+	writeQOcc     stats.Mean
 
 	// version counts mutations of the state NextEventAt derives from (the
 	// completion heap, per-channel queue counts and issue-scan wake-ups), so
@@ -253,8 +251,7 @@ func (mc *Controller) ResetStats() {
 	mc.enqueueFailRd.Reset()
 	mc.enqueueFailWr.Reset()
 	mc.bytesRead, mc.bytesWritten = 0, 0
-	mc.readQOcc.Reset()
-	mc.writeQOcc.Reset()
+	mc.readQOcc, mc.writeQOcc = stats.Mean{}, stats.Mean{}
 }
 
 // alloc takes a Request slot from the free-list, or grows the pool by one.
@@ -363,8 +360,8 @@ func (mc *Controller) wake(now int64) {
 // attempts to issue at most one transaction per channel.
 func (mc *Controller) Tick(now int64) {
 	mc.runCompletions(now)
-	mc.readQOcc.Observe(float64(mc.readLen))
-	mc.writeQOcc.Observe(float64(mc.writeLen))
+	mc.readQOcc.Observe(uint64(mc.readLen))
+	mc.writeQOcc.Observe(uint64(mc.writeLen))
 	mc.updateDrain(now)
 	for chIdx := range mc.sys.Channels {
 		if mc.nextAttempt[chIdx] > now {
@@ -384,11 +381,8 @@ func (mc *Controller) runCompletions(now int64) {
 		mc.pendingReads[r.Core]--
 		cs := &mc.core[r.Core]
 		cs.ReadsCompleted++
-		lat := c.at - r.Arrive
-		cs.ReadLatency.Observe(float64(lat))
-		cs.ReadLatencyHist.Observe(lat)
-		cs.LatHist.Observe(lat)
-		cs.ServiceTime.Observe(float64(c.at - c.issuedAt))
+		cs.LatHist.Observe(c.at - r.Arrive)
+		cs.ServiceTime.Observe(uint64(c.at - c.issuedAt))
 		cb, sink := r.OnComplete, r.sink
 		core, line := r.Core, r.Line
 		mc.release(r)
@@ -465,8 +459,8 @@ func (mc *Controller) Version() uint64 { return mc.version }
 // completion happens while every component is quiescent, so the sampled
 // depths are constant).
 func (mc *Controller) AbsorbStall(k int64) {
-	mc.readQOcc.ObserveN(float64(mc.readLen), uint64(k))
-	mc.writeQOcc.ObserveN(float64(mc.writeLen), uint64(k))
+	mc.readQOcc.ObserveN(uint64(mc.readLen), uint64(k))
+	mc.writeQOcc.ObserveN(uint64(mc.writeLen), uint64(k))
 }
 
 func (mc *Controller) updateDrain(now int64) {
@@ -554,7 +548,7 @@ func (mc *Controller) tryIssue(chIdx int, now int64) {
 	if req.Kind == Read {
 		mc.readsIssued.Inc()
 		mc.bytesRead += lineBytes
-		mc.core[req.Core].QueueDelay.Observe(float64(now - req.Arrive))
+		mc.core[req.Core].QueueDelay.Observe(uint64(now - req.Arrive))
 		mc.comp.push(completion{
 			at:       res.DataDone + mc.ctrlOverhead,
 			seq:      mc.compSeq,
@@ -764,11 +758,11 @@ func (mc *Controller) remove(req *Request) {
 }
 
 // AverageReadLatency returns the mean read latency in cycles across all
-// cores, weighted by request count.
+// cores, weighted by request count (the exact merged integer mean).
 func (mc *Controller) AverageReadLatency() float64 {
-	var merged stats.Running
+	var merged stats.LatencyHist
 	for i := range mc.core {
-		merged.Merge(&mc.core[i].ReadLatency)
+		merged.Merge(&mc.core[i].LatHist)
 	}
 	return merged.Mean()
 }

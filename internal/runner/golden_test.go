@@ -16,9 +16,9 @@ import (
 )
 
 // goldenDir reuses the fixed-seed fixtures internal/sim pins its controller
-// equivalence against; they were generated by the original serial seed
-// implementation, so matching them from a parallel sweep proves the pool is
-// byte-identical to serial execution job by job.
+// equivalence against; they record serial single-run Results, so matching
+// them from a parallel sweep proves the pool is byte-identical to serial
+// execution job by job.
 const goldenDir = "../sim/testdata/golden"
 
 const goldenInstr = 6_000 // must match internal/sim's golden slice length
@@ -103,9 +103,9 @@ func TestParallelSweepMatchesGoldenFixtures(t *testing.T) {
 		if parallel[i].Err != nil {
 			t.Fatalf("%s: %v", keys[i], parallel[i].Err)
 		}
-		// Fixtures predate cycle skipping, so compare through the tolerant
-		// diff (ints exact, floats to 1e-9, SkippedCycles exempt) ...
-		if diffs := sim.DiffResults(parallel[i].Value, want, 1e-9); len(diffs) > 0 {
+		// Compare through DiffResults at tolerance 0, which exempts only
+		// SkippedCycles (a run-loop fact the fixtures do not pin) ...
+		if diffs := sim.DiffResults(parallel[i].Value, want, 0); len(diffs) > 0 {
 			t.Errorf("%s: parallel result diverged from serial golden fixture: %v", keys[i], diffs)
 		}
 		// ... while parallel vs Workers=1 stays strictly byte-identical: both

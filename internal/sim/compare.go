@@ -13,11 +13,10 @@ import (
 // two equivalent runs may legitimately differ there.
 //
 // This is the acceptance contract of the quiescence-aware run loop: a run
-// with cycle skipping must diff clean against the same run with NoCycleSkip,
-// and against fixtures recorded before skipping existed. The float tolerance
-// exists only because absorbed stall stretches enter Running statistics via
-// one parallel-merge step (stats.ObserveN) instead of k repeated Observes,
-// which reorders float additions.
+// with cycle skipping must diff clean at floatTol 0 against the same run with
+// NoCycleSkip and against the golden fixtures, because every statistic is
+// accumulated in integers. floatTol > 0 is for callers comparing against
+// references computed some other way.
 func DiffResults(got, want Result, floatTol float64) []string {
 	var diffs []string
 	diffValues("", reflect.ValueOf(got), reflect.ValueOf(want), floatTol, &diffs)

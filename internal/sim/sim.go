@@ -71,9 +71,9 @@ type Options struct {
 	// OnlineEpoch is the estimator epoch length in cycles (0 = default).
 	OnlineEpoch int64
 	// NoCycleSkip disables next-event time advance and ticks every cycle
-	// one at a time. Cycle skipping never changes integer statistics and
-	// perturbs float statistics by at most ~1e-9 relative (see RunContext),
-	// so this is for differential testing and debugging, not for results.
+	// one at a time. Cycle skipping never changes a Result beyond the exempt
+	// SkippedCycles field (see skipQuiescent), so this is for differential
+	// testing and debugging, not for results.
 	NoCycleSkip bool
 	// Telemetry, when non-nil, attaches the epoch-sampled observer layer
 	// (package telemetry) over the measurement window. It is read-only with
@@ -98,23 +98,22 @@ type CoreResult struct {
 	Cycles  int64 // cycles until this core hit its commit target
 	IPC     float64
 	// Memory-side statistics at freeze time.
-	MemReads       uint64
-	MemWrites      uint64
-	AvgReadLatency float64 // controller admission -> data return, cycles
-	// AvgQueueDelay and AvgServiceTime decompose AvgReadLatency into the
-	// scheduling component (admission -> issue) and the DRAM component
-	// (issue -> data).
+	MemReads  uint64
+	MemWrites uint64
+	// AvgReadLatency is the mean controller admission -> data return
+	// latency in cycles. It and the two means that decompose it — the
+	// scheduling component AvgQueueDelay (admission -> issue) and the DRAM
+	// component AvgServiceTime (issue -> data) — are exact integer sums over
+	// integer counts.
+	AvgReadLatency float64
 	AvgQueueDelay  float64
 	AvgServiceTime float64
-	// P95ReadLatency is an upper bound on the 95th-percentile read latency
-	// (power-of-two histogram buckets).
-	P95ReadLatency int64
 	// Service is the serving class (LC/BE) assigned to this core's
 	// application; BE unless Options.Classes said otherwise.
 	Service workload.ServiceClass
 	// ReadLatencyP50..P999 are read-latency percentiles from the
 	// deterministic log-spaced histogram (exact integer counts, within one
-	// bucket width — <= 12.5% relative; cf. P95ReadLatency's 2x bound).
+	// bucket width — <= 12.5% relative).
 	ReadLatencyP50  int64
 	ReadLatencyP95  int64
 	ReadLatencyP99  int64
@@ -491,16 +490,7 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 		Ranks:       s.cfg.Memory.Channels * s.cfg.Memory.RanksPerChan,
 		Cycles:      res.TotalCycles,
 	}, s.cfg.Core.FreqGHz)
-	var latSum float64
-	var latN uint64
-	for i := range res.Cores {
-		cs := s.mc.CoreStatsOf(i)
-		latSum += cs.ReadLatency.Mean() * float64(cs.ReadLatency.N())
-		latN += cs.ReadLatency.N()
-	}
-	if latN > 0 {
-		res.AvgReadLatency = latSum / float64(latN)
-	}
+	res.AvgReadLatency = s.mc.AverageReadLatency()
 	for cls := range res.ClassLat {
 		c := workload.ServiceClass(cls)
 		h := s.ClassLatencyHist(c)
@@ -572,8 +562,9 @@ func (s *System) tick(now int64) {
 // beyond now+1 it bulk-applies the per-cycle statistics of the intervening
 // stalled cycles and returns how many cycles the caller may jump over. The
 // skipped cycles are exactly the ones the naive loop would have ticked
-// without any state change, so results are preserved (integer counters
-// exactly; float Running stats to ~1e-9 relative, via stats.ObserveN).
+// without any state change, so results are preserved exactly: per-cycle
+// samples enter integer accumulators (stats.Mean.ObserveN adds k·v), which
+// equal k naive samples bit for bit.
 func (s *System) skipQuiescent(now, maxCycles int64) int64 {
 	if s.opts.NoCycleSkip {
 		return 0
@@ -670,10 +661,9 @@ func (s *System) freeze(i int, cycles int64, target uint64, cpuBase *cpu.Stats, 
 	out.IPC = float64(target) / float64(cycles)
 	out.MemReads = mcs.ReadsCompleted
 	out.MemWrites = mcs.WritesRetired
-	out.AvgReadLatency = mcs.ReadLatency.Mean()
+	out.AvgReadLatency = mcs.LatHist.Mean()
 	out.AvgQueueDelay = mcs.QueueDelay.Mean()
 	out.AvgServiceTime = mcs.ServiceTime.Mean()
-	out.P95ReadLatency = mcs.ReadLatencyHist.Quantile(0.95)
 	out.Service = s.serviceClass(i)
 	// Capture the log-spaced histogram at the core's own freeze point; the
 	// copy also feeds the per-class merge after the last core commits.

@@ -482,8 +482,8 @@ func TestLatencyDecompositionConsistent(t *testing.T) {
 			t.Errorf("core %d: queue %.1f + service %.1f != latency %.1f",
 				i, c.AvgQueueDelay, c.AvgServiceTime, c.AvgReadLatency)
 		}
-		if int64(c.AvgReadLatency) > c.P95ReadLatency {
-			t.Errorf("core %d: mean %v above p95 bound %d", i, c.AvgReadLatency, c.P95ReadLatency)
+		if int64(c.AvgReadLatency) > c.ReadLatencyP95 {
+			t.Errorf("core %d: mean %v above p95 bound %d", i, c.AvgReadLatency, c.ReadLatencyP95)
 		}
 	}
 }

@@ -34,22 +34,29 @@ func (h LatencyHist) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON decodes the sparse form, validating bucket indices and that
-// the scalar count matches the bucket population, so a corrupted or
-// schema-drifted payload fails loudly instead of yielding a silently
-// inconsistent histogram.
+// UnmarshalJSON decodes the sparse form, validating that every bucket key is
+// the canonical decimal form of an in-range index (so no two keys can alias
+// one bucket), that max is non-negative, and that the bucket population sums
+// to the scalar count without wrapping, so a corrupted or schema-drifted
+// payload fails loudly instead of yielding a silently inconsistent histogram.
 func (h *LatencyHist) UnmarshalJSON(data []byte) error {
 	var in latencyHistJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
+	}
+	if in.Max < 0 {
+		return fmt.Errorf("stats: latency histogram max %d is negative", in.Max)
 	}
 	var out LatencyHist
 	out.n, out.sum, out.max = in.N, in.Sum, in.Max
 	var total uint64
 	for key, c := range in.Counts {
 		i, err := strconv.Atoi(key)
-		if err != nil || i < 0 || i >= LatencyBuckets {
-			return fmt.Errorf("stats: latency histogram bucket key %q out of range", key)
+		if err != nil || i < 0 || i >= LatencyBuckets || key != strconv.Itoa(i) {
+			return fmt.Errorf("stats: latency histogram bucket key %q is not a bucket index", key)
+		}
+		if total+c < total {
+			return fmt.Errorf("stats: latency histogram bucket counts overflow")
 		}
 		out.counts[i] = c
 		total += c

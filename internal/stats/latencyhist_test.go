@@ -183,12 +183,89 @@ func TestLatBucketEdges(t *testing.T) {
 	}
 }
 
-// TestLatencyHistBasics pins clamping, mean, max and CountAtOrBelow.
-func TestLatencyHistBasics(t *testing.T) {
+// TestHistogramQuantileEmpty pins the empty histogram's zero answers.
+func TestHistogramQuantileEmpty(t *testing.T) {
 	var h LatencyHist
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Max() != 0 {
+	if h.N() != 0 || h.Quantile(0.5) != 0 || h.Quantile(0.99) != 0 ||
+		h.Mean() != 0 || h.Max() != 0 || h.CountAtOrBelow(1<<40) != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
+}
+
+// TestHistogramNegativeClamped checks that a negative sample is recorded as
+// zero: counted, in the zero bucket, adding nothing to the sum.
+func TestHistogramNegativeClamped(t *testing.T) {
+	var h LatencyHist
+	h.Observe(-5)
+	if h.N() != 1 || h.Mean() != 0 || h.Max() != 0 || h.CountAtOrBelow(0) != 1 {
+		t.Fatalf("negative sample not clamped to 0: %+v", h)
+	}
+}
+
+// TestHistogramBuckets pins the bucket layout at a few values: unit buckets
+// below latSubBuckets report exact quantiles, and above it a sample reports
+// the upper bound of its 1/latSubBuckets-octave bucket.
+func TestHistogramBuckets(t *testing.T) {
+	for _, c := range []struct{ v, want int64 }{
+		{0, 0}, {5, 5}, {7, 7}, {8, 8}, {15, 15}, {16, 17}, {100, 103}, {1000, 1023}, {1024, 1151},
+	} {
+		var h LatencyHist
+		h.Observe(c.v)
+		if got := h.Quantile(1); got != c.want {
+			t.Errorf("sample %d reports %d, want bucket bound %d", c.v, got, c.want)
+		}
+	}
+}
+
+// TestHistogramQuantileBounds pins percentiles of a uniform 0..999 stream to
+// their exact order statistics plus at most one bucket width.
+func TestHistogramQuantileBounds(t *testing.T) {
+	var h LatencyHist
+	for i := int64(0); i < 1000; i++ {
+		h.Observe(i)
+	}
+	for _, c := range []struct {
+		q     float64
+		exact int64
+	}{{0, 0}, {0.001, 0}, {0.5, 499}, {0.99, 989}, {1, 999}} {
+		got := h.Quantile(c.q)
+		if got < c.exact || got-c.exact >= bucketWidthAt(c.exact) {
+			t.Errorf("Quantile(%v) = %d, want within one bucket above %d", c.q, got, c.exact)
+		}
+	}
+}
+
+// TestHistogramQuantileMonotone checks that reported quantiles never
+// decrease with q, and that the top quantile is the bucket bound of Max.
+func TestHistogramQuantileMonotone(t *testing.T) {
+	property := func(stream latencyStream) bool {
+		var h LatencyHist
+		for _, v := range stream {
+			h.Observe(v)
+		}
+		prev := int64(0)
+		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {
+			v := h.Quantile(q)
+			if v < prev {
+				t.Logf("q=%v gives %d < %d", q, v, prev)
+				return false
+			}
+			prev = v
+		}
+		_, hi := latBucketBounds(latBucket(h.Max()))
+		return prev == hi
+	}
+	cfg := &quick.Config{MaxCount: 200, Values: func(args []reflect.Value, r *rand.Rand) {
+		args[0] = reflect.ValueOf(latencyStream{}.Generate(r, 30))
+	}}
+	if err := quick.Check(property, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLatencyHistBasics pins mean, max and CountAtOrBelow.
+func TestLatencyHistBasics(t *testing.T) {
+	var h LatencyHist
 	for _, v := range []int64{-5, 0, 3, 7, 100} {
 		h.Observe(v)
 	}
@@ -259,10 +336,70 @@ func TestLatencyHistJSONRejectsCorruption(t *testing.T) {
 		"bad key":        `{"n":1,"sum":5,"max":5,"counts":{"x":1}}`,
 		"key range":      `{"n":1,"sum":5,"max":5,"counts":{"9999":1}}`,
 		"count mismatch": `{"n":2,"sum":5,"max":5,"counts":{"5":1}}`,
+		"aliased key":    `{"n":2,"counts":{"0":1,"00":1}}`,
+		"wrapped total":  `{"n":0,"counts":{"0":18446744073709551615,"1":1}}`,
+		"signed key":     `{"n":1,"max":3,"counts":{"+3":1}}`,
+		"negative max":   `{"n":1,"max":-7,"counts":{"0":1}}`,
+		"both":           `{"n":1,"max":-7,"counts":{"+3":1}}`,
 	} {
 		var h LatencyHist
 		if err := json.Unmarshal([]byte(blob), &h); err == nil {
 			t.Errorf("%s: corrupted payload unmarshalled cleanly", name)
 		}
 	}
+}
+
+// FuzzLatencyHistJSON feeds arbitrary bytes to UnmarshalJSON: it must never
+// panic, any payload it accepts must be self-consistent (n equals the bucket
+// population), and an accepted histogram must survive a marshal round trip
+// unchanged.
+func FuzzLatencyHistJSON(f *testing.F) {
+	var h LatencyHist
+	for _, v := range []int64{0, 3, 100, 5000, 1 << 40} {
+		h.Observe(v)
+	}
+	blob, err := json.Marshal(h)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	for _, seed := range []string{
+		`{}`, `{"n":0}`, `{"n":1,"sum":5,"max":5,"counts":{"5":1}}`,
+		`{"n":2,"counts":{"0":1,"00":1}}`,
+		`{"n":0,"counts":{"0":18446744073709551615,"1":1}}`,
+		`{"n":1,"max":-7,"counts":{"+3":1}}`,
+		`{"n":1,"counts":{"0":5,"0":1}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h LatencyHist
+		if err := json.Unmarshal(data, &h); err != nil {
+			return
+		}
+		var total uint64
+		for _, c := range h.counts {
+			if total+c < total {
+				t.Fatalf("accepted bucket counts that wrap: %s", data)
+			}
+			total += c
+		}
+		if total != h.n {
+			t.Fatalf("accepted n=%d but buckets hold %d: %s", h.n, total, data)
+		}
+		if h.max < 0 {
+			t.Fatalf("accepted negative max %d: %s", h.max, data)
+		}
+		blob, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back LatencyHist
+		if err := json.Unmarshal(blob, &back); err != nil {
+			t.Fatalf("re-marshalled histogram rejected: %v\n%s", err, blob)
+		}
+		if back != h {
+			t.Fatalf("round trip changed the histogram:\n%s\n%s", data, blob)
+		}
+	})
 }

@@ -16,8 +16,8 @@
 //     counter or derived from integer counters at epoch boundaries, and
 //     NextEventAt clamps next-event time advance to those boundaries (the
 //     same contract as sim.OnlineEstimator), so a skipping run and a naive
-//     run produce identical series — DiffSnapshots enforces ints exact,
-//     floats within 1e-9.
+//     run produce identical series — DiffSnapshots at tolerance 0 enforces
+//     that, floats included.
 //   - Allocation-conscious when enabled: sampling appends to grown-once
 //     slices and per-epoch records; nothing allocates per cycle.
 package telemetry

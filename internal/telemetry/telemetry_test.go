@@ -127,7 +127,7 @@ func TestZeroPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range sim.DiffResults(observed, plain, 1e-9) {
+	for _, d := range sim.DiffResults(observed, plain, 0) {
 		t.Error(d)
 	}
 	// Classes arm: serving-class tagging plus per-epoch class latency sampling
@@ -144,7 +144,7 @@ func TestZeroPerturbation(t *testing.T) {
 	}
 	classed.ClassLat = [2]sim.ClassLatency{}
 	plain.ClassLat = [2]sim.ClassLatency{}
-	for _, d := range sim.DiffResults(classed, plain, 1e-9) {
+	for _, d := range sim.DiffResults(classed, plain, 0) {
 		t.Errorf("classed+telemetry vs plain: %s", d)
 	}
 }
