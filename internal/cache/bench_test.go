@@ -41,3 +41,36 @@ func BenchmarkMSHRAllocateComplete(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHierarchyMSHRFull measures one cycle of the hierarchy and its
+// controller while the shared L2 miss file is full: two cores stream misses
+// that keep their L1 miss files saturated, so most L2 requests wait parked.
+func BenchmarkHierarchyMSHRFull(b *testing.B) {
+	cfg := config.Default(2)
+	cfg.L2.MSHRs = 4
+	h, mc := newHierarchyFor(b, &cfg)
+	nop := func(int64) {}
+	lines := []uint64{0, 1 << 32}
+	now := int64(0)
+	step := func() {
+		for core := range lines {
+			for {
+				if _, _, ok := h.Access(core, lines[core], false, now, nop); !ok {
+					break
+				}
+				lines[core]++
+			}
+		}
+		h.Tick(now)
+		mc.Tick(now)
+		now++
+	}
+	for i := 0; i < 20_000; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

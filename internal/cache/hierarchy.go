@@ -57,12 +57,23 @@ type Hierarchy struct {
 	// wbRetry holds write-backs rejected by a full controller write queue.
 	wbRetry []wbEntry
 
+	// parked holds the L2 requests and memory reads a structural hazard (L2
+	// port, full L2 MSHR file, controller rejection) turned away, in retry
+	// order; runEvents retries them after the cycle's due heap events and
+	// rebuilds the list into next, and the two swap. parkWake is false while
+	// every parked request is an L2 lookup of a line absent from both the L2
+	// and its full MSHR file: such a list is inert until fillL2 frees an
+	// entry, so it is neither retried nor a reason to wake.
+	parked, next []hevent
+	parkWake     bool
+
 	l1HitLat int64
 	l2HitLat int64
 
 	// version counts mutations of the state NextEventAt derives from (the
-	// event heap and the write-back retry list), so callers can cache the
-	// horizon and revalidate with one integer compare instead of rescanning.
+	// event heap, both retry lists and the L2 MSHR occupancy), so callers can
+	// cache the horizon and revalidate with one integer compare instead of
+	// rescanning.
 	version uint64
 }
 
@@ -82,6 +93,11 @@ func NewHierarchy(cfg *config.Config, mc *memctrl.Controller) *Hierarchy {
 		l1HitLat: int64(cfg.L1D.HitLatency),
 		l2HitLat: int64(cfg.L2.HitLatency),
 	}
+	// At most one L2 request per L1 MSHR entry and one memory read per L2
+	// MSHR entry are ever outstanding, so the retry lists never grow.
+	maxParked := cfg.Cores*(cfg.L1D.MSHRs+cfg.L1I.MSHRs) + cfg.L2.MSHRs
+	h.parked = make([]hevent, 0, maxParked)
+	h.next = make([]hevent, 0, maxParked)
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1d = append(h.l1d, MustNew(cfg.L1D))
 		h.l1m = append(h.l1m, NewMSHR(cfg.L1D.MSHRs))
@@ -126,30 +142,64 @@ func (h *Hierarchy) schedule(when int64, kind uint8, core int, line uint64, inst
 }
 
 // runEvents fires every event due at or before now, in (time, insertion)
-// order; events pushed by handlers at a time <= now fire in the same call.
+// order, then retries the parked requests in list order. Requests blocked
+// again land in the next list behind the ones first blocked this cycle,
+// which is the order a per-cycle re-push onto the heap would pop them in:
+// handlers schedule at least the L2 hit latency ahead, so with an L2 hit
+// latency of 2 or more every heap event due at now was pushed before the
+// previous cycle's retries were. An inert list is carried over untried.
 func (h *Hierarchy) runEvents(now int64) {
+	retry := h.parkWake
+	h.parkWake = false
 	for len(h.events) > 0 && h.events[0].when <= now {
 		e := h.events.pop()
 		h.version++
-		switch e.kind {
-		case hkL2Req:
-			h.l2Request(int(e.core), e.line, e.when, e.instr)
-		case hkFill:
-			if e.instr {
-				h.fillL1I(int(e.core), e.line, e.when)
-			} else {
-				h.fillL1(int(e.core), e.line, e.when)
-			}
-		case hkFillL2:
-			h.fillL2(int(e.core), e.line, e.when)
-		case hkMemRead:
-			if h.mc.EnqueueReadSink(h, int(e.core), e.line, e.when) {
-				h.core[e.core].MemReads.Inc()
-			} else {
-				h.schedule(e.when+1, hkMemRead, int(e.core), e.line, false)
-			}
+		h.fire(e, e.when)
+	}
+	if len(h.parked) == 0 && len(h.next) == 0 {
+		return
+	}
+	if retry || h.parkWake || !h.l2m.Full() {
+		for _, e := range h.parked {
+			h.fire(e, now)
+		}
+	} else if len(h.next) == 0 {
+		return // inert and nothing newly blocked: the list is unchanged
+	} else {
+		h.next = append(h.next, h.parked...)
+	}
+	h.parked, h.next = h.next, h.parked[:0]
+	h.version++
+}
+
+// fire runs one hierarchy event at cycle now.
+func (h *Hierarchy) fire(e hevent, now int64) {
+	switch e.kind {
+	case hkL2Req:
+		h.l2Request(int(e.core), e.line, now, e.instr)
+	case hkFill:
+		if e.instr {
+			h.fillL1I(int(e.core), e.line, now)
+		} else {
+			h.fillL1(int(e.core), e.line, now)
+		}
+	case hkFillL2:
+		h.fillL2(int(e.core), e.line, now)
+	case hkMemRead:
+		if h.mc.EnqueueReadSink(h, int(e.core), e.line, now) {
+			h.core[e.core].MemReads.Inc()
+		} else {
+			h.park(e, true) // every attempt counts a rejected read
 		}
 	}
+}
+
+// park queues a blocked request for the next cycle's retry pass. live is
+// false only for an L2 lookup that cannot proceed before fillL2 frees an
+// MSHR entry.
+func (h *Hierarchy) park(e hevent, live bool) {
+	h.next = append(h.next, e)
+	h.parkWake = h.parkWake || live
 }
 
 // ReadReturned implements memctrl.ReadSink: DRAM data for (core, line) has
@@ -180,30 +230,34 @@ func (h *Hierarchy) Tick(now int64) {
 }
 
 // Version is a change counter over the state NextEventAt reads (event heap,
-// write-back retry list). Equal versions across two calls guarantee the
-// hierarchy's horizon did not move in between, modulo the now-dependent
-// write-back clause — callers must still discard cached values that are not
+// retry lists, L2 MSHR occupancy). Equal versions across two calls guarantee
+// the hierarchy's horizon did not move in between, modulo the now-dependent
+// retry clauses — callers must still discard cached values that are not
 // strictly in their future.
 func (h *Hierarchy) Version() uint64 { return h.version }
 
 // NextEventAt implements the simulator's next-event time-advance contract.
 // Called after Tick(now), it returns the cycle of the earliest pending
 // internal event — every due event already fired, so the heap head is strictly
-// in the future — or now+1 when a parked write-back would be accepted by the
-// controller on the next Tick. A write-back parked against a full write queue
-// contributes no wake-up time of its own: the queue only drains when the
-// controller issues a write, and the controller's own NextEventAt bounds the
-// skip until then (AbsorbStall accounts the failed retry each skipped cycle
-// would have recorded). cpu.FarFuture means no internal work is pending.
+// in the future — or now+1 when a parked request or write-back may proceed on
+// the next Tick. Neither retry list waiting on a full resource contributes a
+// wake-up time of its own. An inert L2 request list waits for fillL2, which
+// runs from a controller read completion (bounded by the controller's
+// NextEventAt) or a heap event. A write-back parked against a full write
+// queue waits for the controller to issue a write, which its NextEventAt
+// bounds too (AbsorbStall accounts the failed retry each skipped cycle would
+// have recorded). cpu.FarFuture means no internal work is pending.
 func (h *Hierarchy) NextEventAt(now int64) int64 {
-	next := farFuture
-	if len(h.events) > 0 {
-		next = h.events[0].when
+	if len(h.parked) > 0 && (h.parkWake || !h.l2m.Full()) {
+		return now + 1
 	}
 	if len(h.wbRetry) > 0 && !h.mc.WriteQueueFull() {
 		return now + 1
 	}
-	return next
+	if len(h.events) > 0 {
+		return h.events[0].when
+	}
+	return farFuture
 }
 
 // AbsorbStall accounts k skipped Ticks: each would have retried the head
@@ -242,7 +296,7 @@ func (h *Hierarchy) L2MSHRLen() int { return h.l2m.Len() }
 
 // Quiescent reports whether no cache-side work is pending.
 func (h *Hierarchy) Quiescent() bool {
-	if len(h.events) > 0 || len(h.wbRetry) > 0 || h.l2m.Len() > 0 {
+	if len(h.events) > 0 || len(h.parked) > 0 || len(h.wbRetry) > 0 || h.l2m.Len() > 0 {
 		return false
 	}
 	for _, m := range h.l1m {
@@ -332,16 +386,13 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 		h.l2PortCycle = now
 		h.l2PortUsed = 0
 	}
-	if h.l2PortUsed >= h.cfg.L2PortsPerCycle {
-		h.schedule(now+1, hkL2Req, core, line, instr)
-		return
-	}
-	// A miss needing a fresh MSHR entry while the file is full retries next
-	// cycle without touching any state (the port it consumed is released
-	// implicitly by not being counted yet).
+	// A request finding every port taken, or a miss needing a fresh MSHR
+	// entry while the file is full, parks for a retry without touching any
+	// state. The second kind is stuck until fillL2 frees an entry.
 	w := h.l2.probe(line)
-	if w == nil && !h.l2m.Outstanding(line) && h.l2m.Full() {
-		h.schedule(now+1, hkL2Req, core, line, instr)
+	stuck := w == nil && !h.l2m.Outstanding(line) && h.l2m.Full()
+	if stuck || h.l2PortUsed >= h.cfg.L2PortsPerCycle {
+		h.park(hevent{kind: hkL2Req, instr: instr, core: int32(core), line: line}, !stuck)
 		return
 	}
 	h.l2PortUsed++
@@ -401,7 +452,7 @@ func (h *Hierarchy) completeL1(l1 *Cache, mshr *MSHR, line uint64, now int64) {
 }
 
 // issueMemRead sends the demand fetch to the memory controller, retrying
-// while the controller buffer is full. Under PerfectMemory (used only to
+// while the controller rejects it. Under PerfectMemory (used only to
 // classify MEM vs ILP applications) the fetch completes in one cycle and
 // never touches the controller.
 func (h *Hierarchy) issueMemRead(core int, line uint64, now int64) {
@@ -414,7 +465,10 @@ func (h *Hierarchy) issueMemRead(core int, line uint64, now int64) {
 }
 
 // fillL2 installs a returned line into L2 and releases all merged waiters.
+// It frees an MSHR entry, so parked L2 requests must be retried.
 func (h *Hierarchy) fillL2(core int, line uint64, now int64) {
+	h.parkWake = true
+	h.version++
 	victim, evicted := h.l2.Insert(line, false)
 	if evicted && victim.Dirty {
 		h.writeToMemory(core, victim.Line, now)

@@ -14,16 +14,23 @@ func newHierarchy(t *testing.T, cores int, perfect bool) (*Hierarchy, *memctrl.C
 	t.Helper()
 	cfg := config.Default(cores)
 	cfg.PerfectMemory = perfect
-	sys := dram.NewSystem(&cfg)
-	pol, err := sched.New("hf-rf", cores)
+	h, mc := newHierarchyFor(t, &cfg)
+	return h, mc, &cfg
+}
+
+// newHierarchyFor builds a hierarchy and hf-rf controller for cfg.
+func newHierarchyFor(tb testing.TB, cfg *config.Config) (*Hierarchy, *memctrl.Controller) {
+	tb.Helper()
+	sys := dram.NewSystem(cfg)
+	pol, err := sched.New("hf-rf", cfg.Cores)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	mc, err := memctrl.New(&cfg, sys, pol, nil, xrand.New(1))
+	mc, err := memctrl.New(cfg, sys, pol, nil, xrand.New(1))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return NewHierarchy(&cfg, mc), mc, &cfg
+	return NewHierarchy(cfg, mc), mc
 }
 
 // drive ticks hierarchy and controller together until pred or limit cycles.
@@ -309,5 +316,64 @@ func TestL2StreamPrefetch(t *testing.T) {
 	}
 	if h.CoreStats(0).L2Hits.Value() == 0 {
 		t.Fatal("prefetched line did not produce an L2 hit")
+	}
+}
+
+// TestParkedL2RequestsInert fills the L2 miss file, then blocks misses from
+// two cores in two different cycles. While the file stays full the parked
+// list is inert: it sets no wake-up time, yet the hierarchy is not quiescent.
+// The fill that frees an entry changes Version, and the request blocked in
+// the later cycle claims the entry first, the order per-cycle re-pushes onto
+// the event heap used to produce.
+func TestParkedL2RequestsInert(t *testing.T) {
+	cfg := config.Default(2)
+	cfg.L2.MSHRs = 2
+	h, _ := newHierarchyFor(t, &cfg)
+	nop := func(int64) {}
+	const a, b, c, d = 100, 200, 300, 400
+	h.Access(0, a, false, 0, nop) // the two misses fill the L2 miss file
+	h.Access(0, b, false, 0, nop)
+	h.Access(0, c, false, 1, nop) // blocked from cycle 4
+	h.Access(1, d, false, 2, nop) // blocked from cycle 5
+	// The controller is never ticked: reads stay queued, so the file stays
+	// full until the test returns a line by hand.
+	now := int64(0)
+	for ; now <= 30; now++ {
+		h.Tick(now)
+	}
+	now--
+	if got := h.L2MSHRLen(); got != cfg.L2.MSHRs {
+		t.Fatalf("L2 MSHRs in use = %d, want %d", got, cfg.L2.MSHRs)
+	}
+	if len(h.parked) != 2 || h.parked[0].line != d || h.parked[1].line != c {
+		t.Fatalf("parked = %+v, want lines %d then %d", h.parked, d, c)
+	}
+	if next := h.NextEventAt(now); next <= now+1 {
+		t.Errorf("NextEventAt(%d) = %d with only an inert list pending, want > %d", now, next, now+1)
+	}
+	if h.Quiescent() {
+		t.Error("Quiescent() with parked requests")
+	}
+
+	v := h.Version()
+	now++
+	h.ReadReturned(0, a, now) // frees one entry
+	if h.Version() == v {
+		t.Error("Version unchanged across the fill that freed an MSHR entry")
+	}
+	if next := h.NextEventAt(now); next != now+1 {
+		t.Errorf("NextEventAt(%d) = %d after a free, want %d", now, next, now+1)
+	}
+	now++
+	h.Tick(now)
+	if !h.l2m.Outstanding(d) || h.l2m.Outstanding(c) {
+		t.Errorf("after the free: outstanding d=%v c=%v, want the later-blocked d to win",
+			h.l2m.Outstanding(d), h.l2m.Outstanding(c))
+	}
+	if len(h.parked) != 1 || h.parked[0].line != c {
+		t.Errorf("parked = %+v, want only line %d", h.parked, c)
+	}
+	if next := h.NextEventAt(now); next <= now+1 {
+		t.Errorf("NextEventAt(%d) = %d with the file full again, want > %d", now, next, now+1)
 	}
 }

@@ -12,7 +12,7 @@ const (
 	hkL2Req   uint8 = iota // run l2Request(core, line, when, instr)
 	hkFill                 // deliver an L2 hit to core's L1D (or L1I if instr)
 	hkFillL2               // PerfectMemory: install line into L2 directly
-	hkMemRead              // try EnqueueRead; retry next cycle while full
+	hkMemRead              // try EnqueueReadSink; a rejected read parks for a retry
 )
 
 // hevent is one scheduled hierarchy event.

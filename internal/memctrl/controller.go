@@ -426,8 +426,14 @@ func (mc *Controller) AbsorbRejectedWrites(k uint64) {
 // skip. A channel with work whose scan is not suppressed may issue next
 // cycle, so now+1 is returned. Channels without queued work are ignored:
 // enqueues reset their nextAttempt through wake, and enqueues only happen
-// while some other component is active.
+// while some other component is active. A write queue that crossed a drain
+// threshold since the last Tick also returns now+1: the mode flips on the
+// next Tick, and a skip would postpone the flip past that cycle's
+// admissions.
 func (mc *Controller) NextEventAt(now int64) int64 {
+	if mc.drainFlips() {
+		return now + 1
+	}
 	next := farFuture
 	if len(mc.comp) > 0 {
 		next = mc.comp[0].at
@@ -448,10 +454,11 @@ func (mc *Controller) NextEventAt(now int64) int64 {
 }
 
 // Version is a change counter over the state NextEventAt reads (completion
-// heap, per-channel queue counts, issue-scan wake-ups). Equal versions across
-// two calls guarantee the controller's horizon did not move in between,
-// modulo the now-dependent "may issue next cycle" clause — callers must still
-// discard cached values that are not strictly in their future.
+// heap, per-channel queue counts, issue-scan wake-ups, drain mode). Equal
+// versions across two calls guarantee the controller's horizon did not move
+// in between, modulo the now-dependent "may issue next cycle" clause —
+// callers must still discard cached values that are not strictly in their
+// future.
 func (mc *Controller) Version() uint64 { return mc.version }
 
 // AbsorbStall accounts k skipped Ticks' per-cycle queue-occupancy samples at
@@ -463,18 +470,26 @@ func (mc *Controller) AbsorbStall(k int64) {
 	mc.writeQOcc.ObserveN(uint64(mc.writeLen), uint64(k))
 }
 
+// drainFlips reports whether the write-queue depth calls for leaving or
+// entering write-drain mode, which the next updateDrain does.
+func (mc *Controller) drainFlips() bool {
+	if mc.draining {
+		return mc.writeLen <= mc.drainLow
+	}
+	return mc.writeLen >= mc.drainHigh
+}
+
 func (mc *Controller) updateDrain(now int64) {
-	if !mc.draining && mc.writeLen >= mc.drainHigh {
-		mc.draining = true
+	if !mc.drainFlips() {
+		return
+	}
+	mc.draining = !mc.draining
+	mc.version++
+	if mc.draining {
 		mc.drainEntries.Inc()
-		if mc.drainObs != nil {
-			mc.drainObs(now, true)
-		}
-	} else if mc.draining && mc.writeLen <= mc.drainLow {
-		mc.draining = false
-		if mc.drainObs != nil {
-			mc.drainObs(now, false)
-		}
+	}
+	if mc.drainObs != nil {
+		mc.drainObs(now, mc.draining)
 	}
 }
 

@@ -129,6 +129,43 @@ func TestWriteDrainHysteresis(t *testing.T) {
 	}
 }
 
+// TestDrainExitWakesNextCycle pins the skip contract for drain mode: the
+// Tick whose write issues drain the queue to the low watermark leaves drain
+// mode only on the following Tick, so NextEventAt must not let a skip
+// postpone that flip (a write admitted meanwhile would cancel it), even when
+// no channel has work left.
+func TestDrainExitWakesNextCycle(t *testing.T) {
+	cfg := config.Default(1)
+	cfg.Memory.DrainHigh = 2 / float64(cfg.Memory.WriteQueueCap) // drain at 2 queued writes
+	cfg.Memory.DrainLow = 0
+	sys := dram.NewSystem(&cfg)
+	pol, err := sched.New("hf-rf", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := memctrl.New(&cfg, sys, pol, nil, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.EnqueueWrite(0, lineFor(0, 1), 0)
+	mc.EnqueueWrite(0, lineFor(1, 1), 0)
+	mc.Tick(0) // enters drain mode; each channel issues its only write
+	if !mc.Draining() || mc.WriteQueueLen() != 0 {
+		t.Fatalf("after Tick(0): draining=%v with %d queued writes, want draining with 0",
+			mc.Draining(), mc.WriteQueueLen())
+	}
+	if next := mc.NextEventAt(0); next != 1 {
+		t.Fatalf("NextEventAt(0) = %d with a drain exit pending, want 1", next)
+	}
+	mc.Tick(1)
+	if mc.Draining() {
+		t.Fatal("drain mode not left on the next Tick")
+	}
+	if next := mc.NextEventAt(1); next == 2 {
+		t.Fatal("NextEventAt(1) = 2 with nothing left to do")
+	}
+}
+
 func TestDrainPrefersWritesOverReads(t *testing.T) {
 	mc, _, cfg := newController(t, 1, "hf-rf", nil)
 	high := int(cfg.Memory.DrainHigh * float64(cfg.Memory.WriteQueueCap))

@@ -8,16 +8,20 @@ import (
 	"path/filepath"
 	"testing"
 
+	"memsched/internal/config"
 	"memsched/internal/sim"
 	"memsched/internal/workload"
 )
 
-// -update-golden regenerates the fixtures under testdata/golden from the
-// current implementation. The fixtures pin fixed-seed Results of every
-// policy, so any change to modelled behaviour (candidate sets, tie-break RNG
-// draws, completion ordering) fails the test. They were last regenerated
-// when float statistics moved to exact integer accumulation, which changed
-// only float last digits; every integer field stayed identical.
+// -update-golden regenerates the fixtures under testdata/golden and
+// testdata/golden_stress from the current implementation. The fixtures pin
+// fixed-seed Results of every policy, so any change to modelled behaviour
+// (candidate sets, tie-break RNG draws, completion ordering) fails the test.
+// They were last regenerated when float statistics moved to exact integer
+// accumulation, which changed only float last digits; every integer field
+// stayed identical. The stressed-machine fixtures were recorded before
+// blocked L2 requests moved off the event heap onto the hierarchy's parked
+// list, and pin that the move changed no modelled field.
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden equivalence fixtures")
 
 // goldenFloatTol is the relative tolerance for float fields: none. Every
@@ -33,6 +37,31 @@ type goldenCase struct {
 	Mix     string
 	Policy  string
 	Classes string // serving classes ("" = classless), workload.ParseServiceClasses syntax
+	Machine string // stressed machine override ("" = Table 1 default), see stressMachine
+}
+
+// stressMachine returns the Table 1 machine for cores with one of the named
+// structural-hazard overrides applied. Each keeps a shared resource scarce so
+// that requests block and retry for long stretches:
+//   - "l2mshr8-port1": 8 L2 MSHRs behind one L2 port, so L1 misses queue on
+//     a full L2 miss file most of the run;
+//   - "rq12-pend6": a 12-entry controller read queue with at most 6 reads
+//     per core, so L2 misses are rejected by the controller and retried;
+//   - "pf-rq10": 16 L2 MSHRs, one port, L2 stream prefetch and a 10-entry
+//     read queue, so prefetches compete with demand misses for both.
+func stressMachine(name string, cores int) *config.Config {
+	cfg := config.Default(cores)
+	switch name {
+	case "l2mshr8-port1":
+		cfg.L2.MSHRs, cfg.L2PortsPerCycle = 8, 1
+	case "rq12-pend6":
+		cfg.L2.MSHRs, cfg.Memory.ReadQueueCap, cfg.Memory.MaxPendingPerCore = 48, 12, 6
+	case "pf-rq10":
+		cfg.L2.MSHRs, cfg.L2PortsPerCycle, cfg.L2StreamPrefetch, cfg.Memory.ReadQueueCap = 16, 1, true, 10
+	default:
+		panic("unknown stress machine " + name)
+	}
+	return &cfg
 }
 
 // goldenCases covers every registered policy, with the paper's four headline
@@ -55,6 +84,15 @@ func goldenCases() []goldenCase {
 	cases = append(cases,
 		goldenCase{Mix: "4MEM-1", Policy: "dash", Classes: "LBBB"},
 		goldenCase{Mix: "4MEM-1", Policy: "me-lreq", Classes: "LBLB"})
+	// Stressed machines: long stretches of L1 misses blocked on the L2 port
+	// and miss file, and L2 misses rejected by a full controller read queue.
+	cases = append(cases,
+		goldenCase{Mix: "4MEM-1", Policy: "me-lreq", Machine: "l2mshr8-port1"},
+		goldenCase{Mix: "4MEM-1", Policy: "fcfs", Machine: "l2mshr8-port1"},
+		goldenCase{Mix: "4MEM-1", Policy: "lreq", Machine: "rq12-pend6"},
+		goldenCase{Mix: "8MEM-4", Policy: "me-lreq", Machine: "rq12-pend6"},
+		goldenCase{Mix: "4MEM-1", Policy: "hf-rf", Machine: "pf-rq10"},
+		goldenCase{Mix: "8MEM-4", Policy: "fcfs", Machine: "pf-rq10"})
 	return cases
 }
 
@@ -63,11 +101,18 @@ func goldenPath(c goldenCase) string {
 	if c.Classes != "" {
 		name += "_" + c.Classes
 	}
+	dir := "golden"
+	if c.Machine != "" {
+		// Kept apart from the default-machine fixtures, which
+		// internal/runner replays on the default machine.
+		name += "_" + c.Machine
+		dir = "golden_stress"
+	}
 	name += ".json"
 	for _, bad := range []string{":", "/"} {
 		name = replaceAll(name, bad, "-")
 	}
-	return filepath.Join("testdata", "golden", name)
+	return filepath.Join("testdata", dir, name)
 }
 
 func replaceAll(s, old, new string) string {
@@ -96,8 +141,12 @@ func runGolden(t *testing.T, c goldenCase, parallel int) sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cfg *config.Config
+	if c.Machine != "" {
+		cfg = stressMachine(c.Machine, len(apps))
+	}
 	sys, err := sim.New(sim.Options{
-		Policy: c.Policy, Apps: apps, Seed: sim.EvalSeed, Classes: classes,
+		Config: cfg, Policy: c.Policy, Apps: apps, Seed: sim.EvalSeed, Classes: classes,
 		ParallelCores: parallel,
 	})
 	if err != nil {
@@ -135,6 +184,9 @@ func goldenEquivalence(t *testing.T, parallel int) {
 		name := c.Mix + "/" + c.Policy
 		if c.Classes != "" {
 			name += "/" + c.Classes
+		}
+		if c.Machine != "" {
+			name += "/" + c.Machine
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"memsched/internal/config"
 	"memsched/internal/sim"
 	"memsched/internal/workload"
 )
@@ -45,8 +46,9 @@ var diffMixes = []struct {
 // with next-event time advance must produce a Result identical to the naive
 // cycle-by-cycle loop, floats included: every per-cycle sample enters an
 // integer accumulator, so bulk absorption is exact. The classed arm pins the
-// per-class
-// latency histograms embedded in the Result and dash's deadline decisions.
+// per-class latency histograms embedded in the Result and dash's deadline
+// decisions. The stressed-machine arm pins skips over requests parked on a
+// full L2 miss file, and guards that such skips actually happen.
 func TestSkipDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulation pairs")
@@ -56,6 +58,7 @@ func TestSkipDifferential(t *testing.T) {
 		policy  string
 		online  bool
 		classes string
+		machine string // stressMachine override ("" = Table 1 default)
 	}
 	var cases []diffCase
 	for _, m := range diffMixes {
@@ -70,6 +73,19 @@ func TestSkipDifferential(t *testing.T) {
 	cases = append(cases,
 		diffCase{mix: "4MEM-1", policy: "me-lreq", online: true},
 		diffCase{mix: "4MEM-1", policy: "dash", classes: "LBBB"})
+	// Stressed machines keep L2 requests parked on a full L2 miss file or a
+	// rejecting controller read queue for most of the run. The 8-core arm
+	// uses the prefetching machine: with 8 L2 MSHRs behind one port, 8 cores
+	// starve one another for millions of cycles.
+	for _, machine := range []string{"l2mshr8-port1", "rq12-pend6"} {
+		cases = append(cases,
+			diffCase{mix: "4MEM-1", policy: "hf-rf", machine: machine},
+			diffCase{mix: "4MEM-1", policy: "me-lreq", machine: machine})
+	}
+	cases = append(cases,
+		diffCase{mix: "8MEM-4", policy: "hf-rf", machine: "rq12-pend6"},
+		diffCase{mix: "8MEM-4", policy: "hf-rf", machine: "pf-rq10"},
+		diffCase{mix: "8MEM-4", policy: "me-lreq", machine: "pf-rq10"})
 
 	// Randomized stimulus: each case gets two seeds from a fixed-source
 	// stream, so the workloads differ run to run of the matrix but the test
@@ -86,6 +102,9 @@ func TestSkipDifferential(t *testing.T) {
 			if c.classes != "" {
 				name += "/" + c.classes
 			}
+			if c.machine != "" {
+				name += "/" + c.machine
+			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				mix, err := workload.MixByName(c.mix)
@@ -96,6 +115,10 @@ func TestSkipDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var cfg *config.Config
+				if c.machine != "" {
+					cfg = stressMachine(c.machine, len(mix.Codes))
+				}
 				run := func(noSkip bool) sim.Result {
 					// The generous MaxCycles covers strict fixed priority at 8
 					// memory-bound cores, which starves its lowest core far past
@@ -103,7 +126,7 @@ func TestSkipDifferential(t *testing.T) {
 					res, err := sim.Run(context.Background(), sim.RunSpec{
 						Mix: mix, Policy: c.policy, Instr: 3_000, Seed: seed,
 						OnlineME: c.online, NoCycleSkip: noSkip, Classes: classes,
-						MaxCycles: 20_000_000,
+						Config: cfg, MaxCycles: 20_000_000,
 					})
 					if err != nil {
 						t.Fatalf("seed %#x noSkip=%v: %v", seed, noSkip, err)
@@ -118,6 +141,13 @@ func TestSkipDifferential(t *testing.T) {
 					t.Error(d)
 				}
 				totalSkipped.Add(skipped.SkippedCycles)
+				// Requests parked on a full L2 miss file set no wake-up time,
+				// so the MSHR-limited machine must skip most of its stalls;
+				// polling them every cycle would skip almost none.
+				if ratio := float64(skipped.SkippedCycles) / float64(skipped.TotalCycles); c.machine == "l2mshr8-port1" && ratio < 0.3 {
+					t.Errorf("skipped %d of %d cycles (%.0f%%), want >= 30%% with the L2 miss file full",
+						skipped.SkippedCycles, skipped.TotalCycles, 100*ratio)
+				}
 			})
 		}
 	}

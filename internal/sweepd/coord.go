@@ -19,7 +19,66 @@ import (
 // encoding changes so a stale cache file is discarded, not misread.
 // v2: sim.Result gained the per-class latency split (ClassLat) and the
 // per-core serving class and tail percentiles.
-const cacheMeta = "sweepd result cache v2"
+// v3: CoreResult lost P95ReadLatency, exact integer statistics moved float
+// last digits, and parked L2 retries let the run loop skip more cycles, so
+// SkippedCycles differs for the same spec.
+const cacheMeta = "sweepd result cache v3"
+
+// resultSchema is the sim.Result JSON key set ("path:type", sorted) that
+// cacheMeta was last bumped for; TestCacheSchemaPinned fails when the two
+// drift apart.
+var resultSchema = []string{
+	"AvgReadLatency:float64",
+	"BusUtilization:float64",
+	"ClassLat[].Class:workload.ServiceClass",
+	"ClassLat[].Cores:int",
+	"ClassLat[].MeanReadLatency:float64",
+	"ClassLat[].P50:int64",
+	"ClassLat[].P95:int64",
+	"ClassLat[].P999:int64",
+	"ClassLat[].P99:int64",
+	"ClassLat[].Reads:uint64",
+	"ClassLat[].hist:stats.LatencyHist",
+	"Cores[].App:string",
+	"Cores[].AvgQueueDelay:float64",
+	"Cores[].AvgReadLatency:float64",
+	"Cores[].AvgServiceTime:float64",
+	"Cores[].BandwidthGBs:float64",
+	"Cores[].Class:workload.Class",
+	"Cores[].Cycles:int64",
+	"Cores[].DispatchHaz:uint64",
+	"Cores[].IFetchStalls:uint64",
+	"Cores[].IPC:float64",
+	"Cores[].L2MissesPerKI:float64",
+	"Cores[].MemReads:uint64",
+	"Cores[].MemWrites:uint64",
+	"Cores[].ReadLatencyP50:int64",
+	"Cores[].ReadLatencyP95:int64",
+	"Cores[].ReadLatencyP999:int64",
+	"Cores[].ReadLatencyP99:int64",
+	"Cores[].RetireStallPct:float64",
+	"Cores[].Retired:uint64",
+	"Cores[].Service:workload.ServiceClass",
+	"DRAM.BusBusyCycles:int64",
+	"DRAM.Closed:uint64",
+	"DRAM.Conflicts:uint64",
+	"DRAM.Hits:uint64",
+	"DRAM.Refreshes:uint64",
+	"Drains:uint64",
+	"Energy.ActivateNJ:float64",
+	"Energy.AvgPowerMW:float64",
+	"Energy.BackgroundNJ:float64",
+	"Energy.EnergyPerBitPJ:float64",
+	"Energy.ReadNJ:float64",
+	"Energy.RefreshNJ:float64",
+	"Energy.TotalNJ:float64",
+	"Energy.WriteNJ:float64",
+	"Policy:string",
+	"ReadQueueOcc:float64",
+	"SkippedCycles:int64",
+	"TotalCycles:int64",
+	"WriteQueueOcc:float64",
+}
 
 // DefaultShards is the coordinator state shard count selected by
 // CoordinatorConfig.Shards == 0. Sharding is cheap (a mutex, three maps and a
