@@ -255,3 +255,27 @@ func TestMSHRRecycleReusesEntrySlices(t *testing.T) {
 	}
 	m.Recycle(ws)
 }
+
+var footprintSink *Cache
+
+// TestCacheFootprint pins the tag store's size: the default 4 MB L2 must cost
+// at most 10 bytes per frame (a tag word and a state byte, not a per-set
+// slice header plus a stamped frame) and no more objects than the three the
+// per-set layout allocated.
+func TestCacheFootprint(t *testing.T) {
+	cc := config.Default(1).L2
+	frames := cc.SizeBytes / cc.LineBytes
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			footprintSink = MustNew(cc)
+		}
+	})
+	if per := float64(res.AllocedBytesPerOp()) / float64(frames); per > 10 {
+		t.Errorf("New(L2) allocates %d B for %d frames (%.2f B/frame), want <= 10",
+			res.AllocedBytesPerOp(), frames, per)
+	}
+	if n := res.AllocsPerOp(); n > 3 {
+		t.Errorf("New(L2) allocates %d objects, want <= 3", n)
+	}
+}

@@ -277,14 +277,14 @@ const farFuture = int64(1)<<62 - 1
 // repeat identically until a fill frees an entry.
 func (h *Hierarchy) WouldRejectData(core int, line uint64) bool {
 	m := h.l1m[core]
-	return h.l1d[core].probe(line) == nil && !m.Outstanding(line) && m.Full()
+	return m.Full() && h.l1d[core].probe(line) < 0 && !m.Outstanding(line)
 }
 
 // WouldRejectInstr is WouldRejectData for the instruction-fetch path
 // (AccessInstr against the L1I and its MSHR file).
 func (h *Hierarchy) WouldRejectInstr(core int, line uint64) bool {
 	m := h.l1im[core]
-	return h.l1i[core].probe(line) == nil && !m.Outstanding(line) && m.Full()
+	return m.Full() && h.l1i[core].probe(line) < 0 && !m.Outstanding(line)
 }
 
 // L1DMSHRLen returns the occupied entries of core's L1D miss file
@@ -325,8 +325,8 @@ func (h *Hierarchy) Access(core int, line uint64, write bool, now int64, done fu
 	// One tag scan resolves both the structural-hazard check and the lookup.
 	// The hazard check comes first, before any statistics are recorded, so a
 	// rejected access leaves no trace and is simply retried by the core.
-	w := l1.probe(line)
-	if w == nil && !mshr.Outstanding(line) && mshr.Full() {
+	f := l1.probe(line)
+	if f < 0 && mshr.Full() && !mshr.Outstanding(line) {
 		return 0, false, false
 	}
 
@@ -335,8 +335,8 @@ func (h *Hierarchy) Access(core int, line uint64, write bool, now int64, done fu
 	} else {
 		cs.Loads.Inc()
 	}
-	if w != nil {
-		l1.touch(w, write)
+	if f >= 0 {
+		l1.touch(f, write)
 		cs.L1Hits.Inc()
 		return h.l1HitLat, false, true
 	}
@@ -361,13 +361,13 @@ func (h *Hierarchy) Access(core int, line uint64, write bool, now int64, done fu
 func (h *Hierarchy) AccessInstr(core int, line uint64, now int64, done func(int64)) (lat int64, async, ok bool) {
 	cs := &h.core[core]
 	l1, mshr := h.l1i[core], h.l1im[core]
-	w := l1.probe(line)
-	if w == nil && !mshr.Outstanding(line) && mshr.Full() {
+	f := l1.probe(line)
+	if f < 0 && mshr.Full() && !mshr.Outstanding(line) {
 		return 0, false, false
 	}
 	cs.IFetches.Inc()
-	if w != nil {
-		l1.touch(w, false)
+	if f >= 0 {
+		l1.touch(f, false)
 		return int64(h.cfg.L1I.HitLatency), false, true
 	}
 	l1.stats.Misses++
@@ -389,8 +389,8 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 	// A request finding every port taken, or a miss needing a fresh MSHR
 	// entry while the file is full, parks for a retry without touching any
 	// state. The second kind is stuck until fillL2 frees an entry.
-	w := h.l2.probe(line)
-	stuck := w == nil && !h.l2m.Outstanding(line) && h.l2m.Full()
+	f := h.l2.probe(line)
+	stuck := f < 0 && h.l2m.Full() && !h.l2m.Outstanding(line)
 	if stuck || h.l2PortUsed >= h.cfg.L2PortsPerCycle {
 		h.park(hevent{kind: hkL2Req, instr: instr, core: int32(core), line: line}, !stuck)
 		return
@@ -398,8 +398,8 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 	h.l2PortUsed++
 
 	cs := &h.core[core]
-	if w != nil {
-		h.l2.touch(w, false)
+	if f >= 0 {
+		h.l2.touch(f, false)
 		cs.L2Hits.Inc()
 		h.schedule(now+h.l2HitLat, hkFill, core, line, instr)
 		return
@@ -420,7 +420,7 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 	// queue) but wakes nobody on completion.
 	if h.cfg.L2StreamPrefetch {
 		next := line + 1
-		if !h.l2.Peek(next) && !h.l2m.Outstanding(next) && !h.l2m.Full() {
+		if !h.l2m.Full() && !h.l2.Peek(next) && !h.l2m.Outstanding(next) {
 			if merged, _ := h.l2m.Allocate(next, Waiter{Core: NoCore}); !merged {
 				h.core[core].Prefetches.Inc()
 				h.issueMemRead(core, next, now+h.l2HitLat)
@@ -494,8 +494,8 @@ func (h *Hierarchy) fillL1(core int, line uint64, now int64) {
 	if evicted && victim.Dirty {
 		// Write the dirty victim back into L2 (or to memory if L2 no longer
 		// holds it — non-inclusive hierarchy).
-		if w := h.l2.probe(victim.Line); w != nil {
-			h.l2.touch(w, true)
+		if f := h.l2.probe(victim.Line); f >= 0 {
+			h.l2.touch(f, true)
 		} else {
 			h.writeToMemory(core, victim.Line, now)
 		}

@@ -587,3 +587,24 @@ func TestRunContextDoesNotPerturb(t *testing.T) {
 		t.Fatal("cancellable context perturbed the simulation")
 	}
 }
+
+var footprintSink *System
+
+// TestNewSystemFootprint pins the bytes a one-core machine costs to build,
+// most of which is the 4 MB L2's tag store: under 1 MB, where per-set frame
+// slices with LRU stamps cost about 2 MB.
+func TestNewSystemFootprint(t *testing.T) {
+	opts := Options{Policy: "hf-rf", Apps: []workload.App{app(t, 'c')}, Seed: 1}
+	if _, err := New(opts); err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			footprintSink, _ = New(opts) // the same options succeeded above
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1<<20 {
+		t.Errorf("New(1 core) allocates %d B, want < 1 MB", got)
+	}
+}
