@@ -78,8 +78,10 @@ type Controller struct {
 	ctrlOverhead int64
 
 	// nextAttempt[ch] skips issue scans that cannot succeed before the
-	// earliest bank-ready time observed at the last failed scan.
+	// earliest bank-ready time observed at the last failed scan, unless
+	// noScanSkip is set.
 	nextAttempt []int64
+	noScanSkip  bool
 
 	// comp holds scheduled read-data returns ordered by (time, seq).
 	comp    compHeap
@@ -347,6 +349,11 @@ func (mc *Controller) nextID() uint64 {
 	return mc.seq
 }
 
+// SetNoScanSkip disables (or re-enables) skipping issue scans that cannot
+// succeed, so a run with cycle skipping off scans every channel every cycle
+// and is a strict reference for differential testing.
+func (mc *Controller) SetNoScanSkip(v bool) { mc.noScanSkip = v }
+
 // wake clears scan-skipping so the next Tick reconsiders every channel.
 func (mc *Controller) wake(now int64) {
 	for i := range mc.nextAttempt {
@@ -364,7 +371,7 @@ func (mc *Controller) Tick(now int64) {
 	mc.writeQOcc.Observe(uint64(mc.writeLen))
 	mc.updateDrain(now)
 	for chIdx := range mc.sys.Channels {
-		if mc.nextAttempt[chIdx] > now {
+		if mc.nextAttempt[chIdx] > now && !mc.noScanSkip {
 			continue
 		}
 		mc.tryIssue(chIdx, now)
@@ -485,6 +492,9 @@ func (mc *Controller) updateDrain(now int64) {
 	}
 	mc.draining = !mc.draining
 	mc.version++
+	// A channel asleep under the old mode waited on the banks of the kind it
+	// scanned first; under the new mode the other kind may issue at once.
+	mc.wake(now)
 	if mc.draining {
 		mc.drainEntries.Inc()
 	}

@@ -166,6 +166,65 @@ func TestDrainExitWakesNextCycle(t *testing.T) {
 	}
 }
 
+// TestDrainExitWakesSleepingChannels pins the issue-scan skip as transparent
+// across a drain-mode flip. Channel 1 holds two writes to one bank and a read
+// to another; in drain mode it issues the first write and then sleeps until
+// that bank is ready for the second. Channel 0's writes end drain mode while
+// it sleeps, and from that Tick the read is what channel 1 should look at:
+// its issue must match a controller that scans every channel every cycle.
+func TestDrainExitWakesSleepingChannels(t *testing.T) {
+	run := func(noScanSkip bool) (readDone, exitAt int64) {
+		cfg := config.Default(1)
+		cfg.Memory.DrainHigh = 5 / float64(cfg.Memory.WriteQueueCap) // drain at 5 queued writes
+		cfg.Memory.DrainLow = 1 / float64(cfg.Memory.WriteQueueCap)
+		sys := dram.NewSystem(&cfg)
+		pol, err := sched.New("hf-rf", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, err := memctrl.New(&cfg, sys, pol, nil, xrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc.SetNoScanSkip(noScanSkip)
+		line := func(ch, bank int, row int64) uint64 {
+			for l := uint64(0); ; l++ {
+				if c := sys.Mapper.Map(l); c.Channel == ch && c.Rank == 0 && c.Bank == bank && c.Row == row {
+					return l
+				}
+			}
+		}
+		for bank := 0; bank < 3; bank++ {
+			mc.EnqueueWrite(0, line(0, bank, 0), 0)
+		}
+		mc.EnqueueWrite(0, line(1, 0, 1), 0)
+		mc.EnqueueWrite(0, line(1, 0, 2), 0)
+		readDone, exitAt = -1, -1
+		mc.EnqueueRead(0, line(1, 1, 0), 0, func(now int64) { readDone = now })
+		for now := int64(0); readDone < 0 && now < 100_000; now++ {
+			queued, readsBefore := mc.WriteQueueLen(), mc.ReadsIssued()
+			mc.Tick(now)
+			if now == 0 && !mc.Draining() {
+				t.Fatal("drain mode not entered at 5 queued writes")
+			}
+			if exitAt < 0 && now > 0 && !mc.Draining() {
+				exitAt = now
+				if queued != 1 || readsBefore != 0 {
+					t.Fatalf("drain left at cycle %d with %d writes queued and %d reads issued, want channel 1's second write still queued and no read",
+						now, queued, readsBefore)
+				}
+			}
+		}
+		return readDone, exitAt
+	}
+	gotDone, gotExit := run(false)
+	wantDone, wantExit := run(true)
+	if gotExit != wantExit || gotDone != wantDone {
+		t.Fatalf("read completed at %d (drain left at %d); scanning every cycle completes it at %d (drain left at %d)",
+			gotDone, gotExit, wantDone, wantExit)
+	}
+}
+
 func TestDrainPrefersWritesOverReads(t *testing.T) {
 	mc, _, cfg := newController(t, 1, "hf-rf", nil)
 	high := int(cfg.Memory.DrainHigh * float64(cfg.Memory.WriteQueueCap))

@@ -71,9 +71,10 @@ type Options struct {
 	// OnlineEpoch is the estimator epoch length in cycles (0 = default).
 	OnlineEpoch int64
 	// NoCycleSkip disables next-event time advance and ticks every cycle
-	// one at a time. Cycle skipping never changes a Result beyond the exempt
-	// SkippedCycles field (see skipQuiescent), so this is for differential
-	// testing and debugging, not for results.
+	// one at a time, with the cores' quiescent fast path and the
+	// controller's issue-scan skip off too. Skipping never changes a Result
+	// beyond the exempt SkippedCycles field (see skipQuiescent), so this is
+	// for differential testing and debugging, not for results.
 	NoCycleSkip bool
 	// Telemetry, when non-nil, attaches the epoch-sampled observer layer
 	// (package telemetry) over the measurement window. It is read-only with
@@ -269,6 +270,9 @@ func New(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// With skipping off the controller scans every channel every cycle too,
+	// so the NoCycleSkip arm of differential tests is a strict reference.
+	mc.SetNoScanSkip(opts.NoCycleSkip)
 	hier := cache.NewHierarchy(&cfg, mc)
 	if opts.Classes != nil {
 		lc := make([]bool, n)

@@ -44,8 +44,9 @@ var diffMixes = []struct {
 // skipping: for randomized stimulus across every registered policy at 2, 4
 // and 8 cores, classless and with alternating LC/BE serving classes, a run
 // with next-event time advance must produce a Result identical to the naive
-// cycle-by-cycle loop, floats included: every per-cycle sample enters an
-// integer accumulator, so bulk absorption is exact. The classed arm pins the
+// cycle-by-cycle loop (which also scans every controller channel every
+// cycle), floats included: every per-cycle sample enters an integer
+// accumulator, so bulk absorption is exact. The classed arm pins the
 // per-class latency histograms embedded in the Result and dash's deadline
 // decisions. The stressed-machine arm pins skips over requests parked on a
 // full L2 miss file, and guards that such skips actually happen.
@@ -74,9 +75,11 @@ func TestSkipDifferential(t *testing.T) {
 		diffCase{mix: "4MEM-1", policy: "me-lreq", online: true},
 		diffCase{mix: "4MEM-1", policy: "dash", classes: "LBBB"})
 	// Stressed machines keep L2 requests parked on a full L2 miss file or a
-	// rejecting controller read queue for most of the run. The 8-core arm
-	// uses the prefetching machine: with 8 L2 MSHRs behind one port, 8 cores
-	// starve one another for millions of cycles.
+	// rejecting controller read queue for most of the run. The 8-core arms
+	// leave out l2mshr8-port1: with 8 L2 MSHRs behind one port, 8MEM-4 under
+	// hf-rf and dash never finishes its last core within the 200 cycles per
+	// instruction bound, and under fcfs never finishes warmup, in both run
+	// modes (an open ROADMAP item).
 	for _, machine := range []string{"l2mshr8-port1", "rq12-pend6"} {
 		cases = append(cases,
 			diffCase{mix: "4MEM-1", policy: "hf-rf", machine: machine},

@@ -22,7 +22,10 @@ import (
 // v3: CoreResult lost P95ReadLatency, exact integer statistics moved float
 // last digits, and parked L2 retries let the run loop skip more cycles, so
 // SkippedCycles differs for the same spec.
-const cacheMeta = "sweepd result cache v3"
+// v4: leaving or entering write-drain mode now wakes every channel's issue
+// scan, which changes 8-core Results (and some 4-core fixed-priority ones)
+// for the same spec.
+const cacheMeta = "sweepd result cache v4"
 
 // resultSchema is the sim.Result JSON key set ("path:type", sorted) that
 // cacheMeta was last bumped for; TestCacheSchemaPinned fails when the two
