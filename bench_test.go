@@ -354,12 +354,12 @@ func BenchmarkFig3MemoryBound(b *testing.B) {
 
 // BenchmarkSweepdThroughput measures the distributed sweep service's job
 // pipeline — submit, claim, complete, aggregate over loopback HTTP with stub
-// executors — in jobs per second. The single arm is the pre-batching wire
-// protocol on a single-mutex coordinator (one job per claim/complete round
-// trip); the batched arm claims and completes 32 jobs per round trip against
-// a sharded coordinator. The jobs/sec ratio between the arms is the batching
-// payoff, which must hold on a single-CPU host: it comes from removing round
-// trips, not from parallelism.
+// executors — in jobs per second. The single arm moves one job per claim and
+// per complete round trip (a batch of one on the batched endpoints) against a
+// single-mutex coordinator; the batched arm claims and completes 32 jobs per
+// round trip against a sharded coordinator. The jobs/sec ratio between the
+// arms is the batching payoff, which must hold on a single-CPU host: it comes
+// from removing round trips, not from parallelism.
 func BenchmarkSweepdThroughput(b *testing.B) {
 	const jobs = 1000
 	for _, arm := range []struct {

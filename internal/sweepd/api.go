@@ -20,18 +20,16 @@
 //	GET  /v1/sweeps/{id}/outcomes[?wait=1]        -> OutcomesResponseV1
 //	GET  /v1/sweeps/{id}/events                   -> NDJSON stream of EventV1
 //	POST /v1/claim                ClaimRequestV1  -> ClaimResponseV1
-//	POST /v1/heartbeat            HeartbeatRequestV1 (204, or 410 Gone)
-//	POST /v1/complete             CompleteRequestV1  (204, or 410 Gone)
 //	POST /v1/heartbeats           HeartbeatBatchRequestV1 -> HeartbeatBatchResponseV1
 //	POST /v1/completes            CompleteBatchRequestV1  -> CompleteBatchResponseV1
 //	GET  /v1/stats                                -> StatsV1
 //	GET  /v1/healthz                              -> 200 "ok"
 //
-// Claim is batched: ClaimRequestV1.Max asks for up to N leases in one round
-// trip (0 keeps the single-job form), and every claim response carries the
-// coordinator's queue depth so workers can size their executor pools against
-// the backlog. The plural endpoints amortize heartbeat and completion traffic
-// the same way; the singular forms stay for compatibility.
+// The worker side is batched and has no singular form: ClaimRequestV1.Max asks
+// for up to N leases in one round trip, and one heartbeat or completion round
+// trip covers any number of leases. A batch of one is the single-job case. A
+// revoked lease never fails a batch; it comes back in the response's Lost
+// list, and the worker abandons that run.
 package sweepd
 
 import (
@@ -47,7 +45,9 @@ import (
 )
 
 // APIVersion is the wire-protocol version segment of every endpoint path.
-// Breaking schema changes bump it; /v1/ types are frozen.
+// Once a client outside this repository depends on the API, breaking schema
+// changes bump it; until then /v1/ changes in place, together with every
+// client here.
 const APIVersion = "v1"
 
 // JobSpecV1 is the canonical serializable description of one simulation run —
@@ -259,7 +259,7 @@ type EventV1 struct {
 
 // ClaimRequestV1 asks for job leases. Worker is a display name used in
 // outcomes and logs; Max is the number of leases wanted in this round trip
-// (0 or 1 selects the single-job form).
+// (values below 1 ask for one).
 type ClaimRequestV1 struct {
 	Worker string `json:"worker"`
 	Max    int    `json:"max,omitempty"`
@@ -272,30 +272,18 @@ type LeaseV1 struct {
 	Job     JobV1  `json:"job"`
 }
 
-// ClaimResponseV1 grants up to Max leases, or reports an empty queue
-// (Found=false, no Leases). The worker must heartbeat each lease every
+// ClaimResponseV1 grants up to Max leases; an empty Leases list means the
+// queue is empty. The worker must heartbeat each lease every
 // HeartbeatMillis; a lease not heartbeated within LeaseTTLMillis is revoked
-// and its job re-queued. Found/LeaseID/Job mirror the first lease for
-// single-job clients. QueueDepth is the number of jobs still queued after
-// this claim — the autoscaling hint workers size their pools against.
+// and its job re-queued.
 type ClaimResponseV1 struct {
-	Found           bool      `json:"found"`
-	LeaseID         string    `json:"lease_id,omitempty"`
-	Job             JobV1     `json:"job,omitempty"`
 	Leases          []LeaseV1 `json:"leases,omitempty"`
-	QueueDepth      int64     `json:"queue_depth"`
 	LeaseTTLMillis  int64     `json:"lease_ttl_ms,omitempty"`
 	HeartbeatMillis int64     `json:"heartbeat_ms,omitempty"`
 }
 
-// HeartbeatRequestV1 extends a lease. A 410 Gone response means the lease was
-// revoked (or its job finished elsewhere); the worker must abandon the run.
-type HeartbeatRequestV1 struct {
-	LeaseID string `json:"lease_id"`
-}
-
-// CompleteRequestV1 reports a finished job. Exactly one of Value (the
-// canonical sim.Result JSON) and Err is set.
+// CompleteRequestV1 reports one finished job inside a CompleteBatchRequestV1.
+// Exactly one of Value (the canonical sim.Result JSON) and Err is set.
 type CompleteRequestV1 struct {
 	LeaseID       string          `json:"lease_id"`
 	Value         json.RawMessage `json:"value,omitempty"`
@@ -309,9 +297,8 @@ type HeartbeatBatchRequestV1 struct {
 }
 
 // HeartbeatBatchResponseV1 lists the lease IDs that were already revoked
-// (their runs must be abandoned); every other lease was extended. Unlike the
-// singular endpoint, a partial revocation is a 200, not a 410 — the batch
-// succeeds as a whole.
+// (their runs must be abandoned); every other lease was extended. A partial
+// revocation is still a 200: the batch succeeds as a whole.
 type HeartbeatBatchResponseV1 struct {
 	Lost []string `json:"lost,omitempty"`
 }

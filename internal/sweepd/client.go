@@ -13,11 +13,6 @@ import (
 	"time"
 )
 
-// ErrLeaseLost reports that the coordinator revoked the caller's lease (410
-// Gone): the job was re-queued or finished elsewhere, and the worker must
-// abandon the run.
-var ErrLeaseLost = errors.New("sweepd: lease revoked by coordinator")
-
 // Client speaks the /v1/ API. The zero HTTP client has no global timeout —
 // outcome waits and event streams are long-lived by design; pass a context
 // to bound individual calls.
@@ -26,10 +21,10 @@ var ErrLeaseLost = errors.New("sweepd: lease revoked by coordinator")
 // retried with capped exponential backoff plus jitter. Every call is safe to
 // retry: reads are idempotent, lease semantics make claim/heartbeat/complete
 // replays harmless (a lost claim response leaves a lease that expires and
-// re-queues; a replayed complete on a consumed lease is a 410 the caller
-// already treats as ErrLeaseLost), and a duplicate submit coalesces onto the
-// first submission's in-flight jobs. 4xx responses (including 410) are never
-// retried.
+// re-queues; a replayed complete on a consumed lease comes back in the
+// response's Lost list, and its result is dropped), and a duplicate submit
+// coalesces onto the first submission's in-flight jobs. 4xx responses are
+// never retried.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -124,9 +119,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusGone {
-		return ErrLeaseLost
-	}
 	if resp.StatusCode >= 400 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		return fmt.Errorf("sweepd: %s %s: %s: %s", method, path, resp.Status,
@@ -231,18 +223,12 @@ func (c *Client) Stats(ctx context.Context) (StatsV1, error) {
 }
 
 // Claim asks for up to max job leases in one round trip (max < 1 asks for
-// one). The response's QueueDepth is the backlog remaining after this claim.
+// one).
 func (c *Client) Claim(ctx context.Context, worker string, max int) (ClaimResponseV1, error) {
 	var resp ClaimResponseV1
 	err := c.do(ctx, http.MethodPost, "/"+APIVersion+"/claim",
 		ClaimRequestV1{Worker: worker, Max: max}, &resp)
 	return resp, err
-}
-
-// Heartbeat extends a lease. ErrLeaseLost means the run must be abandoned.
-func (c *Client) Heartbeat(ctx context.Context, leaseID string) error {
-	return c.do(ctx, http.MethodPost, "/"+APIVersion+"/heartbeat",
-		HeartbeatRequestV1{LeaseID: leaseID}, nil)
 }
 
 // HeartbeatBatch extends several leases in one round trip and returns the
@@ -252,12 +238,6 @@ func (c *Client) HeartbeatBatch(ctx context.Context, leaseIDs []string) (Heartbe
 	err := c.do(ctx, http.MethodPost, "/"+APIVersion+"/heartbeats",
 		HeartbeatBatchRequestV1{LeaseIDs: leaseIDs}, &resp)
 	return resp, err
-}
-
-// Complete reports a finished job. ErrLeaseLost means the result was
-// discarded (the job was re-queued or finished elsewhere).
-func (c *Client) Complete(ctx context.Context, req CompleteRequestV1) error {
-	return c.do(ctx, http.MethodPost, "/"+APIVersion+"/complete", req, nil)
 }
 
 // CompleteBatch reports several finished jobs in one round trip and returns

@@ -146,7 +146,7 @@ type Coordinator struct {
 
 // coordStats is the coordinator's atomic counter set, snapshotted into
 // StatsV1 by Stats(). queueDepth and activeLeases are maintained incrementally
-// so claims can report the backlog without touching every shard lock.
+// so Stats can report the backlog without touching every shard lock.
 type coordStats struct {
 	sweeps, executed, failed atomic.Int64
 	cacheHits, cacheMisses   atomic.Int64
@@ -255,8 +255,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /"+APIVersion+"/sweeps/{id}/outcomes", c.handleOutcomes)
 	c.mux.HandleFunc("GET /"+APIVersion+"/sweeps/{id}/events", c.handleEvents)
 	c.mux.HandleFunc("POST /"+APIVersion+"/claim", c.handleClaim)
-	c.mux.HandleFunc("POST /"+APIVersion+"/heartbeat", c.handleHeartbeat)
-	c.mux.HandleFunc("POST /"+APIVersion+"/complete", c.handleComplete)
 	c.mux.HandleFunc("POST /"+APIVersion+"/heartbeats", c.handleHeartbeatBatch)
 	c.mux.HandleFunc("POST /"+APIVersion+"/completes", c.handleCompleteBatch)
 	c.mux.HandleFunc("GET /"+APIVersion+"/stats", c.handleStats)
@@ -511,15 +509,8 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	leases := c.claimLeases(req.Worker, req.Max)
-	resp := ClaimResponseV1{
-		Leases:     leases,
-		QueueDepth: c.stats.queueDepth.Load(),
-	}
-	if len(leases) > 0 {
-		resp.Found = true
-		resp.LeaseID = leases[0].LeaseID
-		resp.Job = leases[0].Job
+	resp := ClaimResponseV1{Leases: c.claimLeases(req.Worker, req.Max)}
+	if len(resp.Leases) > 0 {
 		resp.LeaseTTLMillis = c.cfg.LeaseTTL.Milliseconds()
 		resp.HeartbeatMillis = c.cfg.HeartbeatInterval.Milliseconds()
 	}
@@ -544,18 +535,6 @@ func (c *Coordinator) heartbeatOne(id string) bool {
 	}
 	l.deadline = time.Now().Add(c.cfg.LeaseTTL)
 	return true
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequestV1
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !c.heartbeatOne(req.LeaseID) {
-		http.Error(w, "sweepd: lease revoked", http.StatusGone)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Coordinator) handleHeartbeatBatch(w http.ResponseWriter, r *http.Request) {
@@ -590,80 +569,15 @@ func (c *Coordinator) fanOut(d delivery) {
 	}
 }
 
-// completeOne resolves one completion under its shard lock and returns the
-// delivery to fan out (nil when the lease was revoked — lost=true — or the
-// task already finished). The cache write happens before the task leaves the
-// pending table, so a concurrent submit sees either the in-flight task or the
-// cached result, never a gap that would re-execute the spec.
-func (c *Coordinator) completeOne(req CompleteRequestV1) (d *delivery, lost bool) {
-	s := c.leaseShard(req.LeaseID)
-	if s == nil {
-		return nil, true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.leases[req.LeaseID]
-	if !ok {
-		// The lease expired and the job was re-queued (or finished elsewhere):
-		// determinism makes the duplicate result redundant, so drop it.
-		return nil, true
-	}
-	delete(s.leases, req.LeaseID)
-	c.stats.activeLeases.Add(-1)
-	t := l.t
-	if t.done {
-		return nil, false
-	}
-	t.done = true
-	if req.Err == "" {
-		c.stats.executed.Add(1)
-		if err := s.cache.Record(t.fp, req.Value); err != nil {
-			// A cache write failure costs future hits, never this result.
-			c.logf("sweepd: recording result %s: %v", t.fp[:12], err)
-		}
-	} else {
-		c.stats.failed.Add(1)
-	}
-	delete(s.pending, t.fp)
-	return &delivery{t: t, out: OutcomeV1{Value: req.Value, Err: req.Err},
-		worker: l.worker, elapsed: req.ElapsedMillis}, false
-}
-
-func validateCompletion(req CompleteRequestV1) error {
-	if (req.Value == nil) == (req.Err == "") {
-		return fmt.Errorf("sweepd: completion must set exactly one of value and err")
-	}
-	return nil
-}
-
-func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequestV1
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := validateCompletion(req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	d, lost := c.completeOne(req)
-	if lost {
-		http.Error(w, "sweepd: lease revoked", http.StatusGone)
-		return
-	}
-	if d != nil {
-		c.fanOut(*d)
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (c *Coordinator) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
 	var req CompleteBatchRequestV1
 	if !decodeBody(w, r, &req) {
 		return
 	}
 	for _, comp := range req.Completions {
-		if err := validateCompletion(comp); err != nil {
-			http.Error(w, fmt.Sprintf("%v (lease %s)", err, comp.LeaseID), http.StatusBadRequest)
+		if (comp.Value == nil) == (comp.Err == "") {
+			http.Error(w, fmt.Sprintf("sweepd: completion must set exactly one of value and err (lease %s)",
+				comp.LeaseID), http.StatusBadRequest)
 			return
 		}
 	}
@@ -697,6 +611,12 @@ func (c *Coordinator) handleCompleteBatch(w http.ResponseWriter, r *http.Request
 
 // completeShardBatch resolves a batch of completions that all belong to one
 // shard under a single lock hold, with one cache flush for the whole batch.
+// A completion whose lease was revoked (the job was re-queued or finished
+// elsewhere) is returned in lost: determinism makes the duplicate result
+// redundant, so it is dropped. The cache writes and the pending-table
+// removals happen under one hold of the shard lock, so a concurrent submit
+// sees either the in-flight task or the cached result, never a gap that would
+// re-execute the spec.
 func (c *Coordinator) completeShardBatch(s *shard, comps []CompleteRequestV1) (ds []delivery, lost []string) {
 	var records []runner.BatchEntry
 	s.mu.Lock()

@@ -92,8 +92,8 @@ type LoadOptions struct {
 	SweepSize int
 	// Workers is the number of concurrent claiming worker loops. 0 selects 2.
 	Workers int
-	// Batch is the claim/complete batch width. 0 selects 32; 1 exercises the
-	// single-job endpoints (the pre-batching wire protocol) as a baseline.
+	// Batch is the claim/complete batch width. 0 selects 32; 1 moves one job
+	// per claim and per complete round trip, as a baseline.
 	Batch int
 	// Shards is the coordinator shard count. 0 selects DefaultShards;
 	// 1 reproduces the single-mutex coordinator as a baseline.
@@ -235,17 +235,6 @@ func LoadTest(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 				if len(resp.Leases) == 0 {
 					// Queue momentarily empty: another worker holds the tail.
 					time.Sleep(100 * time.Microsecond)
-					continue
-				}
-				if opts.Batch == 1 {
-					for _, lv := range resp.Leases {
-						err := client.Complete(wctx, CompleteRequestV1{
-							LeaseID: lv.LeaseID, Value: loadStubValue})
-						completeCalls.Add(1)
-						if err == nil {
-							completed.Add(1)
-						}
-					}
 					continue
 				}
 				comps := make([]CompleteRequestV1, len(resp.Leases))

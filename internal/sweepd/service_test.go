@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,33 +16,9 @@ import (
 	"memsched/internal/sim"
 )
 
-// TestDesiredProcs pins the autoscaling policy: cover held work plus the
-// reported backlog, inside the configured bounds.
-func TestDesiredProcs(t *testing.T) {
-	cases := []struct {
-		inflight int
-		depth    int64
-		min, max int
-		want     int
-	}{
-		{0, 0, 1, 8, 1},   // idle: floor
-		{0, 100, 1, 8, 8}, // deep backlog: ceiling
-		{2, 1, 1, 8, 3},   // cover held + queued
-		{5, 0, 1, 4, 4},   // holding more than the ceiling: clamp
-		{0, 2, 3, 8, 3},   // floor dominates a shallow queue
-		{1, 0, 2, 2, 2},   // fixed pool (min == max)
-	}
-	for _, tc := range cases {
-		if got := desiredProcs(tc.inflight, tc.depth, tc.min, tc.max); got != tc.want {
-			t.Errorf("desiredProcs(%d, %d, %d, %d) = %d, want %d",
-				tc.inflight, tc.depth, tc.min, tc.max, got, tc.want)
-		}
-	}
-}
-
 // TestClientRetryFlakyServer pins the retry policy: transient 5xx responses
 // are retried with backoff until the server recovers, while 4xx responses
-// (including 410 lease revocations) fail immediately.
+// fail immediately.
 func TestClientRetryFlakyServer(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {
@@ -83,13 +60,15 @@ func TestClientRetryFlakyServer(t *testing.T) {
 		t.Fatalf("bad request retried: %d requests, want 1", got)
 	}
 
-	// 410 maps to ErrLeaseLost without retries.
+	// Likewise a malformed completion (neither value nor err) is one request
+	// and a 400.
 	before = requests.Load()
-	if err := client.Heartbeat(context.Background(), "l0.999"); err != ErrLeaseLost {
-		t.Fatalf("heartbeat on unknown lease = %v, want ErrLeaseLost", err)
+	_, err = client.CompleteBatch(context.Background(), []CompleteRequestV1{{LeaseID: "l0.999"}})
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("malformed completion = %v, want a 400", err)
 	}
 	if got := requests.Load() - before; got != 1 {
-		t.Fatalf("410 retried: %d requests, want 1", got)
+		t.Fatalf("400 retried: %d requests, want 1", got)
 	}
 
 	// The retry budget is finite: a permanent outage surfaces an error.
@@ -181,20 +160,21 @@ func TestBatchClaimComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Leases) != 3 || !first.Found || first.QueueDepth != jobs-3 {
-		t.Fatalf("first claim = %d leases, depth %d; want 3 and %d",
-			len(first.Leases), first.QueueDepth, jobs-3)
+	if len(first.Leases) != 3 {
+		t.Fatalf("first claim = %d leases, want 3", len(first.Leases))
 	}
-	if first.LeaseID != first.Leases[0].LeaseID {
-		t.Fatal("single-job mirror fields diverge from the lease list")
+	if st, err := client.Stats(ctx); err != nil || st.QueueDepth != jobs-3 || st.ActiveLeases != 3 {
+		t.Fatalf("stats after first claim = %+v (%v), want %d queued and 3 leased", st, err, jobs-3)
 	}
 	second, err := client.Claim(ctx, "batcher", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(second.Leases) != 2 || second.QueueDepth != 0 {
-		t.Fatalf("second claim = %d leases, depth %d; want 2 and 0",
-			len(second.Leases), second.QueueDepth)
+	if len(second.Leases) != 2 {
+		t.Fatalf("second claim = %d leases, want 2", len(second.Leases))
+	}
+	if st, err := client.Stats(ctx); err != nil || st.QueueDepth != 0 {
+		t.Fatalf("stats after second claim = %+v (%v), want an empty queue", st, err)
 	}
 
 	leases := append(first.Leases, second.Leases...)
@@ -241,11 +221,11 @@ func TestBatchClaimComplete(t *testing.T) {
 }
 
 // TestConcurrentSubmitStress is the determinism acceptance test under load:
-// overlapping sweeps submitted concurrently while two autoscaling workers
-// drain the queue with batched claims, across every (batch width × shard
-// count) combination — each outcome must be byte-identical to the serial
-// in-process run of its spec, regardless of which worker ran it, in which
-// batch, on which shard.
+// overlapping sweeps submitted concurrently while two workers drain the queue
+// with batched claims, across every (batch width × shard count) combination —
+// each outcome must be byte-identical to the serial in-process run of its
+// spec, regardless of which worker ran it, in which batch, on which shard.
+// Batch width 1 is a batch of one on the same endpoints.
 func TestConcurrentSubmitStress(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
@@ -276,8 +256,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 					RunWorker(wctx, WorkerOptions{
 						Coordinator: client.base,
 						Name:        fmt.Sprintf("stress-w%d", w),
-						MinProcs:    1,
-						MaxProcs:    3,
+						Procs:       3,
 						Batch:       combo.batch,
 						Poll:        2 * time.Millisecond,
 					})
@@ -392,8 +371,7 @@ func TestLeaseExpiryUnderLoad(t *testing.T) {
 		RunWorker(wctx, WorkerOptions{
 			Coordinator: client.base,
 			Name:        "rescuer",
-			MinProcs:    1,
-			MaxProcs:    2,
+			Procs:       2,
 			Batch:       3,
 			Poll:        5 * time.Millisecond,
 		})
@@ -457,7 +435,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 	for i := len(`{"meta":"`); i < len(body); i++ {
 		body[i] = 'a'
 	}
-	for _, path := range []string{"sweeps", "claim", "heartbeat", "heartbeats", "complete", "completes"} {
+	for _, path := range []string{"sweeps", "claim", "heartbeats", "completes"} {
 		resp, err := http.Post(client.base+"/"+APIVersion+"/"+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

@@ -428,7 +428,7 @@ func TestMaxAttemptsAbandon(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if claim.Found {
+			if len(claim.Leases) > 0 {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -142,8 +142,7 @@ func MixesFor(cores int, group string) []Mix { return workload.MixesFor(cores, g
 // Run assembles a machine from spec and executes it under ctx. Cancellation
 // is observed mid-simulation with CancelCheckCycles granularity; a run under
 // context.Background() is byte-identical to one under a cancellable context
-// that never fires. This is the primary entry point — the pre-context
-// wrappers (see deprecated.go) are removal-slated compatibility shims over it.
+// that never fires. This is the primary entry point.
 func Run(ctx context.Context, spec RunSpec) (Result, error) {
 	return sim.Run(ctx, spec)
 }
